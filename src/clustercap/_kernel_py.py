@@ -1,9 +1,5 @@
-"""Pure-Python scan kernel: minimum min-cut over all repair sequences of
-one selected-node distribution.
-
-This is the fallback twin of the compiled kernel in ``_kernel_c``; both
-implement the same contract on scaled integer inputs and must return
-identical results, including the representative order.
+"""Scan kernel: minimum min-cut over all repair sequences of one
+selected-node distribution, on scaled integer inputs.
 
 Scan order (shared argmin semantics): repair sequences are visited in
 lexicographic order with the separate label sorting AFTER all cluster
@@ -21,23 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 
+from .mincut import _coefficients
 from .model import _multiset_permutations
-
-
-def _coefficients(mapped: tuple[int, ...], sep_label: int, d_intra: int, d_cross: int):
-    """Per-position (intra, cross, is_sep) coefficient triples."""
-    seen: dict[int, int] = {}
-    out = []
-    d = d_intra + d_cross
-    for i, label in enumerate(mapped, start=1):
-        seen[label] = seen.get(label, 0) + 1
-        if label == sep_label:
-            out.append((0, d - i + 1, True))
-        else:
-            h = seen[label]
-            b = d_cross - (i - h)
-            out.append((d_intra + 1 - h, b if b > 0 else 0, False))
-    return tuple(out)
 
 
 @lru_cache(maxsize=4096)

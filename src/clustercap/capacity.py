@@ -98,23 +98,15 @@ def csn_weight_values(
     k: int, R: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> tuple[Fraction, ...]:
     """Sorted weights with one separate selected node (pinned at the last
-    position, which minimizes the min-cut)."""
-    q = (k - 1) // R
-    m = q + 1
-    first = m * (k - 1 - q * R)
-    w = [Fraction(0)] * k
-    for i in range(1, k + 1):
-        if i == k:
-            a, b = 0, R + d_cross - k
-        elif i <= first:
-            c = _ceil_div(i, m)
-            a, b = R - c, d_cross - i + c
-        else:
-            f = (k - i - 1) // q
-            a, b = f, d_cross + R - i - f
-        assert a >= 0 and b >= 0, f"negative coefficient at i={i}: a={a} b={b}"
-        w[k - i] = a * beta_intra + b * beta_cross
-    values = tuple(w)
+    position, which minimizes the min-cut).
+
+    The separate node's weight (R + d_cross - k) * beta_cross is the
+    smallest; the k - 1 cluster nodes before it weigh what a pure cluster
+    system with k - 1 selected nodes does.
+    """
+    values = ((R + d_cross - k) * beta_cross,) + cluster_weight_values(
+        k - 1, R, d_cross, beta_intra, beta_cross
+    )
     assert all(x <= y for x, y in zip(values, values[1:])), "weights not ascending"
     return values
 

@@ -34,6 +34,7 @@ from .oracle import FAMILIES, BudgetExceeded, brute_force_capacity, verify_claim
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+MAX_GRID_POINTS = 100_000  # per tradeoff curve
 
 
 def approx(value: Fraction) -> str:
@@ -131,14 +132,12 @@ def _parse_grid(args: argparse.Namespace) -> list[Fraction]:
     step = parse_rational(args.grid_step)
     if step <= 0:
         raise ConfigError(f"grid step {step} must be > 0")
-    grid = []
-    value = start
-    while value <= stop:
-        grid.append(value)
-        value += step
-    if not grid:
+    count = (stop - start) // step + 1
+    if count < 1:
         raise ConfigError(f"empty grid: start={start} stop={stop} step={step}")
-    return grid
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {count} points; at most {MAX_GRID_POINTS} allowed")
+    return [start + i * step for i in range(count)]
 
 
 def cmd_tradeoff(args: argparse.Namespace) -> int:

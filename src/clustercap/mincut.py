@@ -49,6 +49,26 @@ def relative_location(order: ClusterOrder) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coefficients(
+    labels: tuple[int, ...], sep_label: int, d_intra: int, d_cross: int
+) -> tuple[tuple[int, int, bool], ...]:
+    """Per-position (beta_intra coeff, beta_cross coeff, is_separate) of a
+    label sequence in which `sep_label` marks the separate nodes."""
+    d = d_intra + d_cross
+    seen: dict[int, int] = {}
+    out = []
+    for i, label in enumerate(labels, start=1):
+        h = seen[label] = seen.get(label, 0) + 1
+        if label == sep_label:
+            out.append((0, d - i + 1, True))
+        else:
+            a = d_intra + 1 - h
+            assert a >= 0, f"intra coefficient negative at position {i} (h={h})"
+            b = d_cross - (i - h)
+            out.append((a, b if b > 0 else 0, False))
+    return tuple(out)
+
+
 def incoming_coefficients(
     d_intra: int, d_cross: int, order: ClusterOrder
 ) -> tuple[tuple[int, int, bool], ...]:
@@ -57,18 +77,7 @@ def incoming_coefficients(
     Separate positions fold into the same shape with a zero intra
     coefficient and cross coefficient d - i + 1.
     """
-    d = d_intra + d_cross
-    h = relative_location(order)
-    out = []
-    for i, (label, hi) in enumerate(zip(order.labels, h), start=1):
-        if label == 0:
-            out.append((0, d - i + 1, True))
-        else:
-            a = d_intra + 1 - hi
-            assert a >= 0, f"intra coefficient negative at position {i} (h={hi})"
-            b = max(d_cross - (i - hi), 0)
-            out.append((a, b, False))
-    return tuple(out)
+    return _coefficients(order.labels, 0, d_intra, d_cross)
 
 
 def part_incoming_weights(cfg: SystemConfig, order: ClusterOrder) -> WeightVector:

@@ -316,19 +316,16 @@ def order_count(dist: SelectedNodeDistribution) -> int:
     return total
 
 
-def enumerate_orders(dist: SelectedNodeDistribution) -> list[ClusterOrder]:
-    """All distinct repair sequences for a distribution, lexicographic
-    (separate label 0 sorts first)."""
-    items = [0] * dist.separate
-    for cluster, count in enumerate(dist.clusters, start=1):
-        items.extend([cluster] * count)
-    return [ClusterOrder(labels=p) for p in _multiset_permutations(items)]
-
-
 def iter_orders(dist: SelectedNodeDistribution) -> Iterator[ClusterOrder]:
-    """Lazy variant of enumerate_orders for large Pi(s)."""
+    """All distinct repair sequences for a distribution, lazily, in
+    lexicographic order (separate label 0 sorts first)."""
     items = [0] * dist.separate
     for cluster, count in enumerate(dist.clusters, start=1):
         items.extend([cluster] * count)
     for p in _multiset_permutations(items):
         yield ClusterOrder(labels=p)
+
+
+def enumerate_orders(dist: SelectedNodeDistribution) -> list[ClusterOrder]:
+    """The sequences of iter_orders as a list."""
+    return list(iter_orders(dist))

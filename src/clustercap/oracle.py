@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import _kernel, _kernel_py
+from . import _kernel_py
 from .capacity import (
     Outcome,
     cluster_weight_values,
@@ -78,9 +78,7 @@ def enumeration_size(nodes: NodeParams) -> int:
     return sum(order_count(d) for d in enumerate_distributions(nodes))
 
 
-def brute_force_capacity(
-    cfg: SystemConfig, budget: int = DEFAULT_BUDGET, backend: str | None = None
-) -> BruteForceResult:
+def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> BruteForceResult:
     """Minimum min-cut over every selection and repair sequence.
 
     Works for any separate-node count E.  The reported argmin is the first
@@ -95,15 +93,8 @@ def brute_force_capacity(
     rp = cfg.repair
     best: tuple[int, SelectedNodeDistribution, tuple[int, ...]] | None = None
     for dist in dists:
-        value, order = _kernel.scan_distribution(
-            dist.separate,
-            dist.clusters,
-            rp.d_intra,
-            rp.d_cross,
-            alpha,
-            beta_i,
-            beta_c,
-            backend=backend,
+        value, order = _kernel_py.scan_distribution(
+            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
         )
         if best is None or value < best[0]:
             best = (value, dist, order)

@@ -160,6 +160,16 @@ def test_tradeoff_empty_grid_exit_2(capsys):
     assert "empty grid" in err
 
 
+def test_tradeoff_oversized_grid_exit_2(capsys):
+    code, _, err = run(
+        capsys, "tradeoff", "--n", "5", "--k", "3", "--L", "2", "--R", "2",
+        "--E", "1", "--dC", "3", "--tau", "2", "--M", "6",
+        "--grid-start", "1", "--grid-stop", "2", "--grid-step", "1/100000",
+    )
+    assert code == 2
+    assert "100001 points" in err
+
+
 def test_tradeoff_bad_step_exit_2(capsys):
     code, _, err = run(
         capsys, "tradeoff", "--n", "5", "--k", "3", "--L", "2", "--R", "2",

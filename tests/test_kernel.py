@@ -1,13 +1,10 @@
-"""Backend contract tests: the pure and compiled scan kernels must be
-indistinguishable, and the dispatcher must route unsafe inputs to the
-pure path."""
+"""Scan-kernel tests: the profile-compressed scan must match a direct loop
+over every sequence, and exact integers must carry huge rationals."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from clustercap import _kernel, _kernel_py
+from clustercap import _kernel_py
 from clustercap.mincut import mincut
 from clustercap.model import (
     NodeParams,
@@ -16,10 +13,6 @@ from clustercap.model import (
     validate_config,
 )
 from clustercap.oracle import brute_force_capacity
-
-needs_compiled = pytest.mark.skipif(
-    not _kernel.compiled_available(), reason="compiled kernel not built"
-)
 
 
 def _random_cases(count, seed):
@@ -60,27 +53,6 @@ def test_pure_scan_matches_naive_per_order_minimum():
             assert got == (best[0], best[1])
 
 
-@needs_compiled
-def test_compiled_matches_pure_everywhere():
-    for nodes, d_cross, alpha, beta_i, beta_c in _random_cases(150, seed=11):
-        for dist in enumerate_distributions(nodes):
-            args = (
-                dist.separate, dist.clusters, nodes.R - 1, d_cross,
-                alpha, beta_i, beta_c,
-            )
-            assert _kernel.scan_distribution(
-                *args, backend="pure"
-            ) == _kernel.scan_distribution(*args, backend="compiled")
-
-
-@needs_compiled
-def test_dispatcher_falls_back_on_huge_values():
-    huge = 2**70  # exceeds the compiled kernel's int64 headroom
-    value, order = _kernel.scan_distribution((0), (2, 0), 1, 2, huge, 2, 1)
-    assert value == 6  # alpha never caps
-    assert order == (1, 1)
-
-
 def test_brute_force_handles_huge_rationals():
     cfg = validate_config(
         n=4, k=2, L=2, R=2, E=0, d_cross=2,
@@ -91,8 +63,3 @@ def test_brute_force_handles_huge_rationals():
     expected = (Fraction(2**80, 3) + 2 * Fraction(2**80, 7)) + 2 * Fraction(2**80, 7)
     assert result.value == expected
 
-
-def test_backend_name_is_reported():
-    assert _kernel.active_backend() in ("pure", "compiled")
-    with pytest.raises(ValueError):
-        _kernel.scan_distribution(0, (1,), 0, 1, 1, 1, 1, backend="weird")

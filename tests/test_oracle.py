@@ -3,12 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clustercap import _kernel_py
 from clustercap.capacity import system_capacity
 from clustercap.mincut import mincut
-from clustercap.model import ClusterOrder, validate_config
+from clustercap.model import (
+    ClusterOrder,
+    NodeParams,
+    enumerate_distributions,
+    enumerate_orders,
+    validate_config,
+)
 from clustercap.oracle import (
     BudgetExceeded,
     brute_force_capacity,
@@ -61,14 +68,12 @@ def test_brute_force_budget_guard():
     assert err.value.size > 100
 
 
-def test_brute_force_deterministic_across_backends():
-    from clustercap._kernel import compiled_available
-
+def test_brute_force_deterministic_cold_and_warm():
     config = cfg(9, 6, 2, 4, 1, 5, 3, 2, Fraction(7, 2))
-    runs = [brute_force_capacity(config, backend="pure") for _ in range(2)]
-    runs.append(brute_force_capacity(config))  # dispatcher default
-    if compiled_available():
-        runs.append(brute_force_capacity(config, backend="compiled"))
+    runs = [brute_force_capacity(config) for _ in range(2)]
+    _kernel_py.distribution_profiles.cache_clear()
+    _kernel_py._weighted_profiles.cache_clear()
+    runs.append(brute_force_capacity(config))
     assert len({(r.value, r.distribution, r.order) for r in runs}) == 1
 
 
@@ -153,7 +158,7 @@ def test_known_structured_cut_gap_counterexample():
 def test_graph_capacity_equals_closed_form_small():
     """min over selections and orders of the true graph min-cut equals
     the closed-form capacity (spot check; slow path)."""
-    from clustercap.model import enumerate_distributions, iter_orders
+    from clustercap.model import iter_orders
 
     for config in (
         cfg(5, 3, 2, 2, 1, 3, 2, 1, 2),
@@ -172,6 +177,46 @@ def test_graph_capacity_equals_closed_form_small():
 def test_closed_form_equals_search_on_random_configs():
     for config in sweep_configs(L_values=(2, 3), R_values=(2, 3), k_max=6)[::11]:
         assert system_capacity(config) == brute_force_capacity(config).value
+
+
+@st.composite
+def small_configs(draw):
+    """Configs with E up to 3, rationals with small denominators, and at
+    most 2,000 sequences in total."""
+    L, R, E = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    n = L * R + E
+    # largest k first: Hypothesis favours the first element of sampled_from
+    ks = [
+        k for k in range(n - 1, 0, -1)
+        if enumeration_size(NodeParams(n=n, k=k, L=L, R=R, E=E)) <= 2_000
+    ]
+    assume(ks)
+    k = draw(st.sampled_from(ks))
+    d_cross = draw(st.integers(max(0, k - R + 1), n - R))
+    denominators = st.integers(1, 4)
+    beta_c = Fraction(draw(st.integers(0, 6)), draw(denominators))
+    beta_i = beta_c + Fraction(draw(st.integers(0, 6)), draw(denominators))
+    alpha = Fraction(draw(st.integers(0, 30)), draw(denominators))
+    return cfg(n, k, L, R, E, d_cross, beta_i, beta_c, alpha)
+
+
+@given(small_configs())
+@settings(max_examples=100, deadline=None)
+def test_brute_force_matches_first_naive_minimizer(config):
+    """The scan returns the value and the (distribution, order) of the
+    first minimizer of `mincut` in scan order: distributions as
+    enumerated, sequences lexicographic with the separate label last."""
+    scan_key = lambda o: tuple(config.nodes.L + 1 if x == 0 else x for x in o.labels)
+    best = None
+    for dist in enumerate_distributions(config.nodes):
+        for order in sorted(enumerate_orders(dist), key=scan_key):
+            value = mincut(config, order).value
+            if best is None or value < best[0]:
+                best = (value, dist, order)
+    result = brute_force_capacity(config)
+    assert (result.value, result.distribution, result.order) == best
+    if config.nodes.E <= 1:
+        assert result.value == system_capacity(config)
 
 
 def test_search_argmin_achievable_by_construction_when_no_separate():
