@@ -1,20 +1,19 @@
-"""Scan kernel: minimum min-cut over all repair sequences of one
-selected-node distribution, on scaled integer inputs.
+"""Scan kernel: the min-cut of every repair sequence of one
+selected-node distribution, on scaled integer inputs.  This is the one
+place a coefficient profile becomes a cut value.
 
-Scan order (shared argmin semantics): repair sequences are visited in
-lexicographic order with the separate label sorting AFTER all cluster
-labels, and only strict improvements move the minimum.  The first
-minimizing sequence in that order is therefore reported.
-
-To keep repeated queries cheap, sequences are collapsed into distinct
-coefficient profiles (per-position beta coefficients); each profile keeps
-its first sequence as representative, which preserves the scan-order
-argmin exactly.
+Scan order: repair sequences are visited in lexicographic order with the
+separate label sorting AFTER all cluster labels.  Sequences are collapsed
+into distinct coefficient profiles (per-position beta coefficients); each
+profile keeps its first sequence as representative, so the first minimum
+over the profiles (as ``min`` returns it) is the first minimizing
+sequence in scan order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .mincut import _coefficients
@@ -68,7 +67,7 @@ def _weighted_profiles(
     return tuple(out)
 
 
-def scan_distribution(
+def profile_cuts(
     s0: int,
     clusters: tuple[int, ...],
     d_intra: int,
@@ -76,21 +75,15 @@ def scan_distribution(
     alpha: int,
     beta_intra: int,
     beta_cross: int,
-) -> tuple[int, tuple[int, ...]]:
-    """Minimum of sum(min(alpha, w_i)) over all sequences of the
-    distribution, with the first achieving sequence in scan order.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(sum(min(alpha, w_i)), representative order) of each distinct
+    profile of the distribution, in scan order.
 
     All bandwidth arguments are pre-scaled non-negative integers.
     """
     k = s0 + sum(clusters)
-    best_value = -1
-    best_order: tuple[int, ...] = ()
     for weights, prefix, labels in _weighted_profiles(
         s0, clusters, d_intra, d_cross, beta_intra, beta_cross
     ):
         t = bisect_right(weights, alpha)
-        value = prefix[t] + alpha * (k - t)
-        if best_value < 0 or value < best_value:
-            best_value = value
-            best_order = labels
-    return best_value, best_order
+        yield prefix[t] + alpha * (k - t), labels

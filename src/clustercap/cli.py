@@ -74,17 +74,28 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of config keys")
+
+        def field(key: str) -> int | str:
+            value = raw[key]
+            if not isinstance(value, (int, str)):
+                raise ConfigError(
+                    f"config key {key!r}: {value!r} is neither an integer nor a 'p/q' string"
+                )
+            return value
+
         return validate_config(
-            n=int(raw["n"]),
-            k=int(raw["k"]),
-            L=int(raw["L"]),
-            R=int(raw["R"]),
-            E=int(raw["E"]),
-            d_intra=int(raw["d_I"]) if "d_I" in raw else None,
-            d_cross=int(raw["d_C"]),
-            beta_intra=parse_rational(raw["beta_I"]),
-            beta_cross=parse_rational(raw["beta_C"]),
-            alpha=parse_rational(raw["alpha"]),
+            n=int(field("n")),
+            k=int(field("k")),
+            L=int(field("L")),
+            R=int(field("R")),
+            E=int(field("E")),
+            d_intra=int(field("d_I")) if "d_I" in raw else None,
+            d_cross=int(field("d_C")),
+            beta_intra=parse_rational(field("beta_I")),
+            beta_cross=parse_rational(field("beta_C")),
+            alpha=parse_rational(field("alpha")),
         )
     required = ("n", "k", "L", "R", "E", "dC", "betaI", "betaC", "alpha")
     missing = [f"--{name}" for name in required if getattr(args, name, None) is None]

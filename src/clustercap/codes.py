@@ -19,7 +19,7 @@ a fully verified instance deterministically from a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -67,60 +67,45 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.q - 2, self.q)
 
-    def rank(self, rows: list[list[int]]) -> int:
+    def _eliminate(self, rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+        """Gauss-Jordan reduction mod q on the first `cols` columns:
+        (reduced rows, pivot column of each leading row)."""
         q = self.q
         m = [[x % q for x in row] for row in rows]
-        rank = 0
-        cols = len(m[0]) if m else 0
+        pivots: list[int] = []
         for col in range(cols):
-            pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+            row = len(pivots)
+            if row == len(m):
+                break
+            pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
             if pivot is None:
                 continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = self.inv(m[rank][col])
-            m[rank] = [x * inv % q for x in m[rank]]
+            m[row], m[pivot] = m[pivot], m[row]
+            inv = self.inv(m[row][col])
+            m[row] = [x * inv % q for x in m[row]]
             for r in range(len(m)):
-                if r != rank and m[r][col]:
+                if r != row and m[r][col]:
                     f = m[r][col]
-                    m[r] = [(a - f * b) % q for a, b in zip(m[r], m[rank])]
-            rank += 1
-            if rank == len(m):
-                break
-        return rank
+                    m[r] = [(a - f * b) % q for a, b in zip(m[r], m[row])]
+            pivots.append(col)
+        return m, pivots
+
+    def rank(self, rows: list[list[int]]) -> int:
+        return len(self._eliminate(rows, len(rows[0]) if rows else 0)[1])
 
     def solve_right(self, a_rows: list[list[int]], b_rows: list[list[int]]):
         """One X with A @ X = B (mod q), or None if inconsistent.
 
         A is m x n, B is m x p, X is n x p; free variables are set to 0.
         """
-        q = self.q
-        m = len(a_rows)
-        n = len(a_rows[0]) if m else 0
+        n = len(a_rows[0]) if a_rows else 0
         p = len(b_rows[0]) if b_rows else 0
-        aug = [[x % q for x in a_rows[r]] + [y % q for y in b_rows[r]] for r in range(m)]
-        pivots: list[int] = []
-        row = 0
-        for col in range(n):
-            pivot = next((r for r in range(row, m) if aug[r][col]), None)
-            if pivot is None:
-                continue
-            aug[row], aug[pivot] = aug[pivot], aug[row]
-            inv = self.inv(aug[row][col])
-            aug[row] = [x * inv % q for x in aug[row]]
-            for r in range(m):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(a - f * b) % q for a, b in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-            if row == m:
-                break
-        for r in range(row, m):
-            if any(aug[r][n:]):
-                return None
+        aug, pivots = self._eliminate([[*a, *b] for a, b in zip(a_rows, b_rows)], n)
+        if any(any(row[n:]) for row in aug[len(pivots):]):
+            return None
         x = [[0] * p for _ in range(n)]
-        for r, col in enumerate(pivots):
-            x[col] = aug[r][n:]
+        for row, col in zip(aug, pivots):
+            x[col] = row[n:]
         return x
 
     def mat_vec(self, rows: Matrix | list[list[int]], vec: list[int]) -> list[int]:
@@ -484,13 +469,7 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
     decode = _solve_decode(inst, plan3)
     if decode is None:
         return None
-    plans[SEPARATE_NODE] = RepairPlan(
-        failed=plan3.failed,
-        partner=None,
-        helpers=plan3.helpers,
-        coefficients=plan3.coefficients,
-        decode=decode,
-    )
+    plans[SEPARATE_NODE] = replace(plan3, decode=decode)
 
     for failed in (1, 2, 4, 5):
         partner, helpers = _cluster_info(failed)
@@ -511,13 +490,7 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
             )
             decode = _solve_decode(inst, candidate)
             if decode is not None:
-                found = RepairPlan(
-                    failed=failed,
-                    partner=partner,
-                    helpers=helpers,
-                    coefficients=coefficients,
-                    decode=decode,
-                )
+                found = replace(candidate, decode=decode)
                 break
         if found is None:
             return None

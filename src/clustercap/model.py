@@ -57,7 +57,10 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ConfigError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

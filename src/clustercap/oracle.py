@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from . import _kernel_py
 from .capacity import (
@@ -91,18 +92,23 @@ def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> Bru
         raise BudgetExceeded(size, budget)
     scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
     rp = cfg.repair
-    best: tuple[int, SelectedNodeDistribution, tuple[int, ...]] | None = None
-    for dist in dists:
-        value, order = _kernel_py.scan_distribution(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
-        )
-        if best is None or value < best[0]:
-            best = (value, dist, order)
-    assert best is not None
+    # min keeps the first of equal keys: the first minimizer in scan order
+    value, order, dist = min(
+        (
+            min(
+                _kernel_py.profile_cuts(
+                    dist.separate, dist.clusters, rp.d_intra, rp.d_cross,
+                    alpha, beta_i, beta_c,
+                ),
+                key=itemgetter(0),
+            )
+            + (dist,)
+            for dist in dists
+        ),
+        key=itemgetter(0),
+    )
     return BruteForceResult(
-        value=Fraction(best[0], scale),
-        distribution=best[1],
-        order=ClusterOrder(labels=best[2]),
+        value=Fraction(value, scale), distribution=dist, order=ClusterOrder(labels=order)
     )
 
 
@@ -357,12 +363,6 @@ def sweep_configs(
     return out
 
 
-def _profile_value(coeffs, alpha: Fraction, beta_i: Fraction, beta_c: Fraction) -> Fraction:
-    return sum(
-        (min(alpha, a * beta_i + b * beta_c) for a, b, _ in coeffs), start=Fraction(0)
-    )
-
-
 def _check_lemma1(cfg: SystemConfig):
     """The multiset of intra coefficients is the same for every repair
     sequence of a fixed all-cluster distribution."""
@@ -403,17 +403,21 @@ def _check_prop1(cfg: SystemConfig):
     """The vertical order minimizes the min-cut within each all-cluster
     distribution."""
     rp = cfg.repair
-    alpha = rp.alpha
+    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
     for dist in enumerate_distributions(cfg.nodes):
         if dist.separate != 0:
             continue
         constructed = mincut(cfg, vertical_order(dist, SeparatePositions.none())).value
-        for coeffs, labels in _kernel_py.distribution_profiles(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross
-        ):
-            value = _profile_value(coeffs, alpha, rp.beta_intra, rp.beta_cross)
-            if value < constructed:
-                return False, f"s={dist}: order {labels} gives {value} < {constructed}"
+        value, labels = min(
+            _kernel_py.profile_cuts(
+                dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
+            ),
+            key=itemgetter(0),
+        )
+        if value < constructed * scale:
+            return False, (
+                f"s={dist}: order {labels} gives {Fraction(value, scale)} < {constructed}"
+            )
     return True, None
 
 
@@ -440,20 +444,20 @@ def _check_thm1(cfg: SystemConfig):
     nd, rp = cfg.nodes, cfg.repair
     if nd.E < 1 or nd.k - 1 > nd.L * nd.R:
         return True, None
-    alpha = rp.alpha
+    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
     by_location = {j: mincut_by_location(cfg, j) for j in range(1, nd.k + 1)}
+    scaled = {j: bound * scale for j, bound in by_location.items()}
     for dist in enumerate_distributions(nd):
         if dist.separate != 1:
             continue
-        for coeffs, labels in _kernel_py.distribution_profiles(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross
+        for value, labels in _kernel_py.profile_cuts(
+            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
         ):
-            j = next(i for i, (_, _, sep) in enumerate(coeffs, start=1) if sep)
-            value = _profile_value(coeffs, alpha, rp.beta_intra, rp.beta_cross)
-            if value < by_location[j]:
+            j = labels.index(0) + 1
+            if value < scaled[j]:
                 return False, (
                     f"s={dist} order={labels} separate at {j}: "
-                    f"{value} < constructed {by_location[j]}"
+                    f"{Fraction(value, scale)} < constructed {by_location[j]}"
                 )
     return True, None
 

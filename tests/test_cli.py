@@ -82,6 +82,50 @@ def test_capacity_invalid_params_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--betaC"])
+def test_capacity_zero_denominator_exit_2(capsys, flag):
+    argv = [
+        "capacity", "--n", "5", "--k", "3", "--L", "2", "--R", "2", "--E", "1",
+        "--dC", "3", "--betaI", "2", "--betaC", "1", "--alpha", "2",
+    ]
+    argv[argv.index(flag) + 1] = "1/0"
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_tradeoff_zero_denominator_exit_2(capsys):
+    code, _, err = run(
+        capsys, "tradeoff", "--n", "5", "--k", "3", "--L", "2", "--R", "2",
+        "--E", "1", "--dC", "3", "--tau", "2", "--M", "1/0",
+        "--grid-start", "1", "--grid-stop", "2", "--grid-step", "1/2",
+    )
+    assert code == 2
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("key, value", [("alpha", 0.5), ("k", 3.5), ("beta_C", None)])
+def test_capacity_config_non_rational_value_exit_2(tmp_path, capsys, key, value):
+    raw = {
+        "n": 5, "k": 3, "L": 2, "R": 2, "E": 1, "d_C": 3,
+        "beta_I": "2", "beta_C": "1", "alpha": "2",
+    }
+    raw[key] = value
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run(capsys, "capacity", "--config", str(config))
+    assert code == 2
+    assert repr(key) in err
+
+
+def test_capacity_config_not_an_object_exit_2(tmp_path, capsys):
+    config = tmp_path / "system.json"
+    config.write_text("[5, 3, 2, 2, 1]", encoding="utf-8")
+    code, _, err = run(capsys, "capacity", "--config", str(config))
+    assert code == 2
+    assert "JSON object" in err
+
+
 def test_capacity_missing_flags_exit_2(capsys):
     code, _, err = run(capsys, "capacity", "--n", "5")
     assert code == 2

@@ -3,6 +3,7 @@ over every sequence, and exact integers must carry huge rationals."""
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from clustercap import _kernel_py
 from clustercap.mincut import mincut
@@ -35,10 +36,10 @@ def test_pure_scan_matches_naive_per_order_minimum():
     every sequence, including the representative order choice."""
     for nodes, d_cross, alpha, beta_i, beta_c in _random_cases(40, seed=3):
         for dist in enumerate_distributions(nodes):
-            got = _kernel_py.scan_distribution(
+            got = min(_kernel_py.profile_cuts(
                 dist.separate, dist.clusters, nodes.R - 1, d_cross,
                 alpha, beta_i, beta_c,
-            )
+            ), key=itemgetter(0))
             best = None
             key = lambda o: tuple(nodes.L + 1 if x == 0 else x for x in o.labels)
             for order in sorted(enumerate_orders(dist), key=key):

@@ -1,23 +1,27 @@
 """Exhaustive-search and flow-graph oracle tests."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustercap import _kernel_py
+from clustercap import _kernel_py, oracle
 from clustercap.capacity import system_capacity
 from clustercap.mincut import mincut
 from clustercap.model import (
     ClusterOrder,
     NodeParams,
+    SelectedNodeDistribution,
     enumerate_distributions,
     enumerate_orders,
     validate_config,
 )
 from clustercap.oracle import (
     BudgetExceeded,
+    VerificationFamily,
     brute_force_capacity,
     build_ifg,
     enumeration_size,
@@ -237,6 +241,75 @@ def test_verify_claims_tiny_family_all_pass():
         "thm1-fixed-separate", "thm2-monotone", "thm3-capacity",
         "thm4-dichotomy", "closed-form-vs-search",
     } <= claims
+
+
+def _scaled_config(config, factor):
+    nd, rp = config.nodes, config.repair
+    return cfg(
+        nd.n, nd.k, nd.L, nd.R, nd.E, rp.d_cross,
+        rp.beta_intra * factor, rp.beta_cross * factor, rp.alpha * factor,
+    )
+
+
+def test_verify_claims_pass_on_rational_bandwidths():
+    """Every tiny-family config has integer bandwidths (scale 1); scaled by
+    2/7 the checkers compare scaled integers against rational bounds."""
+    configs = tuple(
+        _scaled_config(c, Fraction(2, 7)) for c in oracle.FAMILIES["tiny"]().configs
+    )
+    assert all(oracle._scaled_bandwidths(c)[0] == 7 for c in configs)
+    family = VerificationFamily(name="tiny-2/7", configs=configs, claims=oracle.ALL_CLAIMS)
+    failures = [r for r in verify_claims(family) if not r.passed]
+    assert not failures, failures[:5]
+
+
+PLANTED = cfg(7, 5, 3, 2, 1, 4, Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))
+RAISE = Fraction(1, 1000)
+
+
+def _only_report(claim):
+    family = VerificationFamily(name="planted", configs=(PLANTED,), claims=(claim,))
+    (report,) = verify_claims(family)
+    return report
+
+
+def test_thm1_flags_planted_violation_on_rational_config(monkeypatch):
+    assert oracle._scaled_bandwidths(PLANTED)[0] == 6
+    by_location = oracle.mincut_by_location
+    monkeypatch.setattr(oracle, "mincut_by_location", lambda c, j: by_location(c, j) + RAISE)
+    report = _only_report("thm1-fixed-separate")
+    assert not report.passed
+    match = re.search(
+        r"order=\(([\d, ]+)\) separate at (\d+): (\S+) < constructed (\S+)$",
+        report.counterexample,
+    )
+    assert match, report.counterexample
+    labels = tuple(int(x) for x in match[1].split(","))
+    j, value, bound = int(match[2]), Fraction(match[3]), Fraction(match[4])
+    assert labels.index(0) + 1 == j
+    assert value == mincut(PLANTED, ClusterOrder(labels=labels)).value
+    assert bound == by_location(PLANTED, j) + RAISE
+    assert value < bound
+
+
+def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
+    original = oracle.mincut
+    monkeypatch.setattr(
+        oracle, "mincut",
+        lambda c, o: dataclasses.replace(original(c, o), value=original(c, o).value + RAISE),
+    )
+    report = _only_report("prop1-vertical")
+    assert not report.passed
+    match = re.search(r"order \(([\d, ]+)\) gives (\S+) < (\S+)$", report.counterexample)
+    assert match, report.counterexample
+    labels = tuple(int(x) for x in match[1].split(","))
+    value, bound = Fraction(match[2]), Fraction(match[3])
+    dist = SelectedNodeDistribution(
+        separate=0, clusters=tuple(labels.count(c) for c in range(1, PLANTED.nodes.L + 1))
+    )
+    assert value == original(PLANTED, ClusterOrder(labels=labels)).value
+    assert bound == original(PLANTED, vertical_order(dist)).value + RAISE
+    assert value < bound
 
 
 def test_verify_claims_unknown_family():
