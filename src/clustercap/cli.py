@@ -16,12 +16,15 @@ from fractions import Fraction
 
 from . import codes
 from .capacity import (
+    DEFAULT_STATE_BUDGET,
     capacity_achiever,
     compare_separate,
+    lattice_capacity,
     system_capacity,
     tradeoff_curve,
 )
 from .model import (
+    BudgetExceeded,
     ConfigError,
     NodeParams,
     RepairParams,
@@ -30,7 +33,7 @@ from .model import (
     parse_rational,
     validate_config,
 )
-from .oracle import FAMILIES, BudgetExceeded, brute_force_capacity, verify_claims
+from .oracle import FAMILIES, verify_claims
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -78,6 +81,8 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
             raise ConfigError(f"{args.config}: expected a JSON object of config keys")
 
         def field(key: str) -> int | str:
+            if key not in raw:
+                raise ConfigError(f"config key {key!r} is missing")
             value = raw[key]
             if not isinstance(value, (int, str)):
                 raise ConfigError(
@@ -116,9 +121,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         value = system_capacity(cfg)
         dist, order = capacity_achiever(cfg)
     else:
-        # no closed form beyond one separate node: exhaustive search
-        result = brute_force_capacity(cfg, budget=args.budget)
-        value, dist, order = result.value, result.distribution, result.order
+        # no closed form beyond one separate node: DP over the selection lattice
+        value, dist, order = lattice_capacity(cfg, budget=args.budget)
     if args.format == "json":
         payload = {
             "capacity": format_rational(value),
@@ -270,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="exact capacity plus the achieving selection")
     _add_node_flags(p)
     p.add_argument("--config", help="flat JSON config (rationals as 'p/q' strings)")
-    p.add_argument("--budget", type=int, default=10_000_000, help="enumeration budget for E >= 2")
+    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+                   help="most lattice states one DP pass may create for E >= 2 "
+                   f"(default {DEFAULT_STATE_BUDGET:,})")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_capacity)
@@ -326,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceeded, ValueError, OSError, KeyError) as exc:
+    except (ConfigError, BudgetExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except codes.SearchExhausted as exc:

@@ -49,23 +49,30 @@ def relative_location(order: ClusterOrder) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coefficient(
+    i: int, h: int, is_separate: bool, d_intra: int, d_cross: int
+) -> tuple[int, int, bool]:
+    """(beta_intra coeff, beta_cross coeff, is_separate) of the node at
+    position i whose within-cluster rank is h (h is unused for a separate
+    node)."""
+    if is_separate:
+        return 0, d_intra + d_cross - i + 1, True
+    a = d_intra + 1 - h
+    assert a >= 0, f"intra coefficient negative at position {i} (h={h})"
+    b = d_cross - (i - h)
+    return a, (b if b > 0 else 0), False
+
+
 def _coefficients(
     labels: tuple[int, ...], sep_label: int, d_intra: int, d_cross: int
 ) -> tuple[tuple[int, int, bool], ...]:
     """Per-position (beta_intra coeff, beta_cross coeff, is_separate) of a
     label sequence in which `sep_label` marks the separate nodes."""
-    d = d_intra + d_cross
     seen: dict[int, int] = {}
     out = []
     for i, label in enumerate(labels, start=1):
         h = seen[label] = seen.get(label, 0) + 1
-        if label == sep_label:
-            out.append((0, d - i + 1, True))
-        else:
-            a = d_intra + 1 - h
-            assert a >= 0, f"intra coefficient negative at position {i} (h={h})"
-            b = d_cross - (i - h)
-            out.append((a, b if b > 0 else 0, False))
+        out.append(_coefficient(i, h, label == sep_label, d_intra, d_cross))
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 Rational = Fraction
@@ -48,6 +48,18 @@ class DCRange(ConfigError):
 
 class Infeasible(ConfigError):
     """Fewer than k nodes available to select."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search needs more work units (`unit`: repair orders for the
+    exhaustive scan, lattice states for the DP) than the allowed budget;
+    `size` is the count reached when the search stopped."""
+
+    def __init__(self, size: int, budget: int, unit: str = "orders"):
+        super().__init__(f"{size} {unit} exceed the budget of {budget} {unit}")
+        self.size = size
+        self.budget = budget
+        self.unit = unit
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -190,6 +202,21 @@ def validate_config(
         beta_cross=parse_rational(beta_cross),
     )
     return SystemConfig(nodes=nodes, repair=repair)
+
+
+def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
+    """(scale, alpha, beta_intra, beta_cross) with rationals cleared to
+    integers by the common denominator."""
+    rp = cfg.repair
+    scale = lcm(
+        rp.alpha.denominator, rp.beta_intra.denominator, rp.beta_cross.denominator
+    )
+    return (
+        scale,
+        int(rp.alpha * scale),
+        int(rp.beta_intra * scale),
+        int(rp.beta_cross * scale),
+    )
 
 
 @dataclass(frozen=True)

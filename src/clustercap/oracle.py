@@ -14,7 +14,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from . import _kernel_py
@@ -28,11 +27,13 @@ from .capacity import (
 )
 from .mincut import incoming_coefficients, mincut
 from .model import (
+    BudgetExceeded,
     ClusterOrder,
     NodeParams,
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
+    _scaled_bandwidths,
     enumerate_distributions,
     order_count,
     validate_config,
@@ -40,31 +41,7 @@ from .model import (
 from .sequencing import SeparatePositions, horizontal_selection, vertical_order
 
 
-class BudgetExceeded(RuntimeError):
-    """The full enumeration is larger than the allowed budget."""
-
-    def __init__(self, size: int, budget: int):
-        super().__init__(f"enumeration size {size} exceeds budget {budget}")
-        self.size = size
-        self.budget = budget
-
-
 DEFAULT_BUDGET = 10_000_000
-
-
-def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
-    """(scale, alpha, beta_intra, beta_cross) with rationals cleared to
-    integers by the common denominator."""
-    rp = cfg.repair
-    scale = lcm(
-        rp.alpha.denominator, rp.beta_intra.denominator, rp.beta_cross.denominator
-    )
-    return (
-        scale,
-        int(rp.alpha * scale),
-        int(rp.beta_intra * scale),
-        int(rp.beta_cross * scale),
-    )
 
 
 @dataclass(frozen=True)

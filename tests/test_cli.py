@@ -73,6 +73,17 @@ def test_capacity_two_separate_nodes_uses_search(capsys):
     assert "capacity = " in out
 
 
+def test_capacity_state_budget_exit_2(capsys):
+    code, out, err = run(
+        capsys, "capacity", "--n", "6", "--k", "3", "--L", "2", "--R", "2",
+        "--E", "2", "--dC", "3", "--betaI", "2", "--betaC", "1", "--alpha", "100",
+        "--budget", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget of 3 lattice states" in err
+
+
 def test_capacity_invalid_params_exit_2(capsys):
     code, _, err = run(
         capsys, "capacity", "--n", "5", "--k", "3", "--L", "2", "--R", "2",
@@ -116,6 +127,15 @@ def test_capacity_config_non_rational_value_exit_2(tmp_path, capsys, key, value)
     code, _, err = run(capsys, "capacity", "--config", str(config))
     assert code == 2
     assert repr(key) in err
+
+
+def test_capacity_config_missing_key_exit_2(tmp_path, capsys):
+    raw = {"n": 5, "k": 3, "L": 2, "R": 2, "E": 1, "d_C": 3, "beta_I": "2", "beta_C": "1"}
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run(capsys, "capacity", "--config", str(config))
+    assert code == 2
+    assert "config key 'alpha' is missing" in err
 
 
 def test_capacity_config_not_an_object_exit_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercap import _kernel_py, oracle
-from clustercap.capacity import system_capacity
+from clustercap.capacity import lattice_capacity, system_capacity
 from clustercap.mincut import mincut
 from clustercap.model import (
     ClusterOrder,
@@ -219,8 +219,51 @@ def test_brute_force_matches_first_naive_minimizer(config):
                 best = (value, dist, order)
     result = brute_force_capacity(config)
     assert (result.value, result.distribution, result.order) == best
+    assert lattice_capacity(config) == best
     if config.nodes.E <= 1:
         assert result.value == system_capacity(config)
+
+
+def _with_two_separate(config):
+    nd, rp = config.nodes, config.repair
+    return cfg(
+        nd.L * nd.R + 2, nd.k, nd.L, nd.R, 2, rp.d_cross,
+        rp.beta_intra, rp.beta_cross, rp.alpha,
+    )
+
+
+def test_lattice_capacity_matches_closed_form_and_search_on_sweep():
+    """Every other sweep config: the DP value is the closed form for
+    E <= 1, and on the E=2 analogues with at most 2,000 orders the DP
+    reports the exhaustive scan's (value, distribution, order)."""
+    configs = sweep_configs()[::2]
+    for config in configs:
+        assert lattice_capacity(config)[0] == system_capacity(config)
+    analogues = [
+        c for c in dict.fromkeys(map(_with_two_separate, configs))
+        if enumeration_size(c.nodes) <= 2_000
+    ]
+    assert analogues
+    for config in analogues:
+        result = brute_force_capacity(config)
+        assert lattice_capacity(config) == (result.value, result.distribution, result.order)
+
+
+def test_lattice_capacity_large_instance():
+    """Far beyond the exhaustive scan: the reported selection is valid and
+    its order's min-cut is the reported capacity."""
+    config = cfg(40, 30, 8, 4, 8, 30, 2, 1, Fraction(31, 2))
+    value, dist, order = lattice_capacity(config)
+    assert dist.is_member(config.nodes)
+    assert order.matches(dist)
+    assert mincut(config, order).value == value
+
+
+def test_lattice_capacity_state_budget():
+    config = cfg(6, 3, 2, 2, 2, 3, 2, 1, 100)
+    with pytest.raises(BudgetExceeded) as err:
+        lattice_capacity(config, budget=3)
+    assert (err.value.size, err.value.budget, err.value.unit) == (4, 3, "lattice states")
 
 
 def test_search_argmin_achievable_by_construction_when_no_separate():
