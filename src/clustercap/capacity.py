@@ -2,14 +2,12 @@
 repair-bandwidth tradeoff.
 
 The capacity-achieving repair sequence yields k incoming weights whose
-sorted values have piecewise closed forms in (k, R, d_cross, beta_intra,
-beta_cross); capacity is sum(min(alpha, w*_i)).  Inverting that piecewise
-linear function of alpha gives the minimum per-node storage for a target
-file size.  Closed forms cover E in {0, 1}.  For any E, `lattice_capacity`
-computes the exact capacity by dynamic programming over the selection
-lattice: w_i depends only on the position i, on whether the node is
-separate and on its within-cluster rank, so the min-cut is a shortest path
-through the per-cluster selection counts.
+sorted values have piecewise closed forms in (k, E, R, d_cross,
+beta_intra, beta_cross); capacity is sum(min(alpha, w*_i)).  For any E the
+achiever repairs min(E, k) separate nodes last, after the cluster-only
+construction for the remaining nodes.  Inverting that piecewise linear
+function of alpha gives the minimum per-node storage for a target file
+size.
 """
 
 from __future__ import annotations
@@ -17,21 +15,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
-from .mincut import _coefficient, mincut
+from .mincut import mincut
 from .model import (
-    BudgetExceeded,
-    ClusterOrder,
     ConfigError,
     NodeParams,
     RationalLike,
     RepairParams,
-    SelectedNodeDistribution,
     SystemConfig,
-    _scaled_bandwidths,
-    enumerate_distributions,
     parse_rational,
 )
 from .sequencing import (
@@ -43,7 +34,7 @@ from .sequencing import (
 
 
 class UnsupportedE(ConfigError):
-    """No closed form for this separate-node count."""
+    """The tradeoff curve supports only E <= 1 for now."""
 
 
 class Unstorable(ValueError):
@@ -104,21 +95,30 @@ def cluster_weight_values(
     return values
 
 
+def weight_values(
+    k: int, E: int, R: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
+) -> tuple[Fraction, ...]:
+    """Sorted weights of the capacity-achieving sequence with E separate
+    nodes: s = min(E, k) of them are selected and repaired last.
+
+    The separate node at position i weighs (R + d_cross - i) * beta_cross,
+    so the tail i = k, ..., k-s+1 comes first in ascending order; the k - s
+    cluster nodes before it weigh what a pure cluster system with k - s
+    selected nodes does.
+    """
+    s = min(E, k)
+    values = tuple((R + d_cross - i) * beta_cross for i in range(k, k - s, -1))
+    values += cluster_weight_values(k - s, R, d_cross, beta_intra, beta_cross)
+    assert all(x <= y for x, y in zip(values, values[1:])), "weights not ascending"
+    return values
+
+
 def csn_weight_values(
     k: int, R: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> tuple[Fraction, ...]:
     """Sorted weights with one separate selected node (pinned at the last
-    position, which minimizes the min-cut).
-
-    The separate node's weight (R + d_cross - k) * beta_cross is the
-    smallest; the k - 1 cluster nodes before it weigh what a pure cluster
-    system with k - 1 selected nodes does.
-    """
-    values = ((R + d_cross - k) * beta_cross,) + cluster_weight_values(
-        k - 1, R, d_cross, beta_intra, beta_cross
-    )
-    assert all(x <= y for x, y in zip(values, values[1:])), "weights not ascending"
-    return values
+    position, which minimizes the min-cut)."""
+    return weight_values(k, 1, R, d_cross, beta_intra, beta_cross)
 
 
 def weight_sequence(cfg: SystemConfig, variant: Variant) -> WeightSequence:
@@ -126,9 +126,9 @@ def weight_sequence(cfg: SystemConfig, variant: Variant) -> WeightSequence:
     nd, rp = cfg.nodes, cfg.repair
     if variant is Variant.CSN_ONE_SEPARATE and nd.E < 1:
         raise UnsupportedE("CSN-OneSeparate weights need E >= 1")
-    fn = cluster_weight_values if variant is Variant.CLUSTER_DSS else csn_weight_values
+    E = 0 if variant is Variant.CLUSTER_DSS else 1
     return WeightSequence(
-        values=fn(nd.k, nd.R, rp.d_cross, rp.beta_intra, rp.beta_cross),
+        values=weight_values(nd.k, E, nd.R, rp.d_cross, rp.beta_intra, rp.beta_cross),
         variant=variant,
     )
 
@@ -138,144 +138,25 @@ def _variant_for(nodes: NodeParams) -> Variant:
         return Variant.CLUSTER_DSS
     if nodes.E == 1:
         return Variant.CSN_ONE_SEPARATE
-    raise UnsupportedE(
-        f"no closed form for E={nodes.E}; for E >= 2 only the capacity is exact "
-        "(lattice_capacity)"
-    )
+    raise UnsupportedE(f"tradeoff supports only E <= 1 for now, got E={nodes.E}")
 
 
 def system_capacity(cfg: SystemConfig) -> Fraction:
-    """Exact capacity: sum of min(alpha, w*_i) over the matching variant's
-    weight sequence.  E must be 0 or 1."""
-    ws = weight_sequence(cfg, _variant_for(cfg.nodes))
-    alpha = cfg.repair.alpha
-    return sum((min(alpha, w) for w in ws.values), start=Fraction(0))
+    """Exact capacity for any E: sum of min(alpha, w*_i) over the sorted
+    weights of the sequence with min(E, k) separate nodes last."""
+    nd, rp = cfg.nodes, cfg.repair
+    values = weight_values(nd.k, nd.E, nd.R, rp.d_cross, rp.beta_intra, rp.beta_cross)
+    return sum((min(rp.alpha, w) for w in values), start=Fraction(0))
 
 
 def capacity_achiever(cfg: SystemConfig):
-    """The (distribution, order) pair realizing system_capacity."""
-    if cfg.nodes.E == 0:
-        dist = horizontal_selection(cfg.nodes, 0)
-        order = vertical_order(dist, SeparatePositions.none())
-    else:
-        dist = horizontal_selection(cfg.nodes, 1)
-        order = optimal_order_with_separate_at(cfg.nodes, cfg.nodes.k)
-    return dist, order
-
-
-DEFAULT_STATE_BUDGET = 1_000_000  # lattice states per forward pass
-
-
-def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
-    """(h, successor) for each way to add one node to a lattice state; h is
-    the node's within-cluster rank, 0 for a separate node.
-
-    state[0] counts the separate nodes and state[1:] the clusters, each at
-    most its entry of caps.  Clusters with equal caps are interchangeable,
-    so within a run of equal caps the counts stay non-increasing and only
-    the first of equal counts grows.
-    """
-    if state[0] < caps[0]:
-        yield 0, (state[0] + 1,) + state[1:]
-    for j in range(1, len(state)):
-        c = state[j]
-        if c < caps[j] and not (j > 1 and caps[j - 1] == caps[j] and state[j - 1] == c):
-            yield c + 1, state[:j] + (c + 1,) + state[j + 1 :]
-
-
-def _layers(caps: tuple[int, ...], cost: list[list[int]], k: int, budget: int):
-    """Layers 0..k of the lattice under `caps`: layer i maps each state of
-    i selected nodes to the least cut over the paths reaching it.  Raises
-    BudgetExceeded once more than `budget` states have been created."""
-    layer = {(0,) * len(caps): 0}
-    created = 1
-    yield layer
-    for i in range(1, k + 1):
-        row = cost[i]
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, value in layer.items():
-            for h, succ in _moves(state, caps):
-                v = value + row[h]
-                old = nxt.get(succ)
-                if old is None:
-                    created += 1
-                    if created > budget:
-                        raise BudgetExceeded(created, budget, "lattice states")
-                    nxt[succ] = v
-                elif v < old:
-                    nxt[succ] = v
-        layer = nxt
-        yield layer
-
-
-def _canonical(counts: list[int], caps: tuple[int, ...]) -> tuple[int, ...]:
-    """The lattice state of per-label counts: counts sorted descending
-    within each run of equal caps."""
-    out = [counts[0]]
-    for _, run in groupby(zip(caps[1:], counts[1:]), key=itemgetter(0)):
-        out.extend(sorted((c for _, c in run), reverse=True))
-    return tuple(out)
-
-
-def _first_order(
-    dist: SelectedNodeDistribution, cost: list[list[int]], best: int, budget: int
-) -> tuple[int, ...]:
-    """Lexicographically first labels (separate node last) of a repair
-    sequence of `dist` whose cut is `best`, the least over its orders."""
-    caps = (dist.separate,) + dist.clusters
-    layers = list(_layers(caps, cost, dist.k, budget))
-    remaining = dict.fromkeys(layers[-1], 0)  # least cut from a state to dist
-    for i in range(len(layers) - 1, 0, -1):
-        row = cost[i]
-        for state in layers[i - 1]:
-            remaining[state] = min(row[h] + remaining[succ] for h, succ in _moves(state, caps))
-    counts = [0] * len(caps)  # counts[0]: separate nodes; counts[j]: cluster j
-    spent = 0
-    labels = []
-    for i in range(1, dist.k + 1):
-        for label in (*range(1, len(caps)), 0):
-            if counts[label] == caps[label]:
-                continue
-            step = cost[i][counts[label] + 1 if label else 0]
-            counts[label] += 1
-            if spent + step + remaining[_canonical(counts, caps)] == best:
-                spent += step
-                labels.append(label)
-                break
-            counts[label] -= 1
-    return tuple(labels)
-
-
-def lattice_capacity(
-    cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET
-) -> tuple[Fraction, SelectedNodeDistribution, ClusterOrder]:
-    """Exact capacity for any E, with the achieving distribution and order.
-
-    A forward pass over the selection lattice adds one node per layer at
-    cost min(alpha, w_i) on scaled integers; layer k holds the least cut
-    of every distribution.  The reported argmin is the exhaustive scan's:
-    the first minimizing distribution in enumeration order and its
-    lexicographically first minimizing order, separate label last.  Each
-    pass creates at most `budget` states, else BudgetExceeded.
-    """
-    nd, rp = cfg.nodes, cfg.repair
-    scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
-
-    def cut(i: int, h: int) -> int:
-        a, b, _ = _coefficient(i, h, h == 0, rp.d_intra, rp.d_cross)
-        return min(alpha, a * beta_intra + b * beta_cross)
-
-    # cost[i][h]: the cut at position i for within-cluster rank h, 0 for a
-    # separate node
-    cost = [[]] + [[cut(i, h) for h in range(nd.R + 1)] for i in range(1, nd.k + 1)]
-    for final in _layers((nd.E,) + (nd.R,) * nd.L, cost, nd.k, budget):
-        pass
-    best = min(final.values())
-    dist = next(
-        d for d in enumerate_distributions(nd) if final[(d.separate,) + d.clusters] == best
-    )
-    order = ClusterOrder(labels=_first_order(dist, cost, best, budget))
-    return Fraction(best, scale), dist, order
+    """The (distribution, order) pair realizing system_capacity: horizontal
+    selection of the cluster nodes, vertical order, separate nodes last."""
+    nd = cfg.nodes
+    s = min(nd.E, nd.k)
+    dist = horizontal_selection(nd, s)
+    last = SeparatePositions(positions=tuple(range(nd.k - s + 1, nd.k + 1)))
+    return dist, vertical_order(dist, last)
 
 
 def mincut_by_location(cfg: SystemConfig, j: int) -> Fraction:
@@ -344,14 +225,15 @@ def tradeoff_curve(
     lo, hi = nodes.k - nodes.R + 1, nodes.n - nodes.R
     if d_cross < 0 or not lo <= d_cross <= hi:
         raise ConfigError(f"d_cross={d_cross} outside [{lo}, {hi}]")
-    fn = cluster_weight_values if variant is Variant.CLUSTER_DSS else csn_weight_values
     points = []
     unstorable = []
     for beta_cross in grid:
         if beta_cross <= 0:
             raise ConfigError(f"grid value {beta_cross} must be positive")
         ws = WeightSequence(
-            values=fn(nodes.k, nodes.R, d_cross, tau * beta_cross, beta_cross),
+            values=weight_values(
+                nodes.k, nodes.E, nodes.R, d_cross, tau * beta_cross, beta_cross
+            ),
             variant=variant,
         )
         try:

@@ -16,15 +16,12 @@ from fractions import Fraction
 
 from . import codes
 from .capacity import (
-    DEFAULT_STATE_BUDGET,
     capacity_achiever,
     compare_separate,
-    lattice_capacity,
     system_capacity,
     tradeoff_curve,
 )
 from .model import (
-    BudgetExceeded,
     ConfigError,
     NodeParams,
     RepairParams,
@@ -117,12 +114,8 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if cfg.nodes.E <= 1:
-        value = system_capacity(cfg)
-        dist, order = capacity_achiever(cfg)
-    else:
-        # no closed form beyond one separate node: DP over the selection lattice
-        value, dist, order = lattice_capacity(cfg, budget=args.budget)
+    value = system_capacity(cfg)
+    dist, order = capacity_achiever(cfg)
     if args.format == "json":
         payload = {
             "capacity": format_rational(value),
@@ -274,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="exact capacity plus the achieving selection")
     _add_node_flags(p)
     p.add_argument("--config", help="flat JSON config (rationals as 'p/q' strings)")
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                   help="most lattice states one DP pass may create for E >= 2 "
-                   f"(default {DEFAULT_STATE_BUDGET:,})")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_capacity)
@@ -332,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceeded, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except codes.SearchExhausted as exc:

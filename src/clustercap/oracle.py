@@ -1,11 +1,12 @@
 """Independent verification paths: exhaustive search over all selections
-and repair sequences, explicit flow-graph construction solved by exact
-integral max-flow, and checkers for every structural claim the closed
-forms rely on.
+and repair sequences, a dynamic program over the selection lattice for
+instances beyond the search, explicit flow-graph construction solved by
+exact integral max-flow, and checkers for every structural claim the
+closed forms rely on.
 
 Everything here is deliberately redundant with the closed-form modules:
-agreement between the three routes (closed form, exhaustive part-cut
-scan, max-flow on the explicit graph) is the correctness argument.
+agreement between the routes (closed form, exhaustive part-cut scan,
+lattice DP, max-flow on the explicit graph) is the correctness argument.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from operator import itemgetter
 from . import _kernel_py
 from .capacity import (
     Outcome,
+    capacity_achiever,
     cluster_weight_values,
     compare_separate,
-    csn_weight_values,
     mincut_by_location,
     system_capacity,
+    weight_values,
 )
-from .mincut import incoming_coefficients, mincut
+from .mincut import _coefficient, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -42,6 +44,7 @@ from .sequencing import SeparatePositions, horizontal_selection, vertical_order
 
 
 DEFAULT_BUDGET = 10_000_000
+DEFAULT_STATE_BUDGET = 1_000_000  # lattice states per forward pass
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,62 @@ def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> Bru
     return BruteForceResult(
         value=Fraction(value, scale), distribution=dist, order=ClusterOrder(labels=order)
     )
+
+
+def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
+    """(h, successor) for each way to add one node to a lattice state; h is
+    the node's within-cluster rank, 0 for a separate node.
+
+    state[0] counts the separate nodes and state[1:] the clusters, each at
+    most its entry of caps.  Clusters with equal caps are interchangeable,
+    so within a run of equal caps the counts stay non-increasing and only
+    the first of equal counts grows.
+    """
+    if state[0] < caps[0]:
+        yield 0, (state[0] + 1,) + state[1:]
+    for j in range(1, len(state)):
+        c = state[j]
+        if c < caps[j] and not (j > 1 and caps[j - 1] == caps[j] and state[j - 1] == c):
+            yield c + 1, state[:j] + (c + 1,) + state[j + 1 :]
+
+
+def lattice_capacity(cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
+    """Exact capacity for any E by dynamic programming over the selection
+    lattice, for instances beyond the exhaustive search.
+
+    w_i depends only on the position i, on whether the node is separate
+    and on its within-cluster rank, so the min-cut is a shortest path
+    through the per-cluster selection counts: layer i maps each state of
+    i selected nodes to the least cut over the paths reaching it, and the
+    capacity is the least value of layer k.  Raises BudgetExceeded once
+    more than `budget` states have been created.
+    """
+    nd, rp = cfg.nodes, cfg.repair
+    scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
+    caps = (nd.E,) + (nd.R,) * nd.L
+    layer = {(0,) * len(caps): 0}
+    created = 1
+    for i in range(1, nd.k + 1):
+        # cut[h]: the cut at position i for within-cluster rank h, 0 for a
+        # separate node
+        cut = []
+        for h in range(nd.R + 1):
+            a, b, _ = _coefficient(i, h, h == 0, rp.d_intra, rp.d_cross)
+            cut.append(min(alpha, a * beta_intra + b * beta_cross))
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, value in layer.items():
+            for h, succ in _moves(state, caps):
+                v = value + cut[h]
+                old = nxt.get(succ)
+                if old is None:
+                    created += 1
+                    if created > budget:
+                        raise BudgetExceeded(created, budget, "lattice states")
+                    nxt[succ] = v
+                elif v < old:
+                    nxt[succ] = v
+        layer = nxt
+    return Fraction(min(layer.values()), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +355,7 @@ def sweep_alpha_values(
     k: int, R: int, E: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> list[Fraction]:
     """Zero, every sorted-weight boundary, and the saturation point."""
-    fn = cluster_weight_values if E == 0 else csn_weight_values
-    values = fn(k, R, d_cross, beta_intra, beta_cross)
+    values = weight_values(k, E, R, d_cross, beta_intra, beta_cross)
     grid = {Fraction(0), sum(values, start=Fraction(0))}
     grid.update(values)
     return sorted(grid)
@@ -362,13 +420,8 @@ def _check_lemma1(cfg: SystemConfig):
 def _check_lemma2(cfg: SystemConfig):
     """Along the constructed optimal sequence the coefficient pairs sum to
     d + 1 - i at every position."""
-    nd, rp = cfg.nodes, cfg.repair
-    if nd.E == 0:
-        dist = horizontal_selection(nd, 0)
-        order = vertical_order(dist, SeparatePositions.none())
-    else:
-        dist = horizontal_selection(nd, 1)
-        order = vertical_order(dist, SeparatePositions(positions=(nd.k,)))
+    rp = cfg.repair
+    _, order = capacity_achiever(cfg)
     coeffs = incoming_coefficients(rp.d_intra, rp.d_cross, order)
     for i, (a, b, _) in enumerate(coeffs, start=1):
         if a + b != rp.d + 1 - i:
@@ -492,8 +545,6 @@ def _check_thm4(cfg: SystemConfig):
 
 def _check_closed_vs_search(cfg: SystemConfig):
     """Closed-form capacity equals the exhaustive minimum."""
-    if cfg.nodes.E > 1:
-        return True, None
     closed = system_capacity(cfg)
     found = brute_force_capacity(cfg)
     if closed != found.value:

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from .model import ClusterOrder, ConfigError, NodeParams, SelectedNodeDistribution
 
 
-class S0Range(ConfigError):
-    """Separate selection count outside {0, 1} for the closed-form path."""
-
-
 @dataclass(frozen=True)
 class SeparatePositions:
     """1-based sequence positions reserved for separate selected nodes."""
@@ -40,12 +36,11 @@ class SeparatePositions:
 
 
 def horizontal_selection(nodes: NodeParams, s0: int) -> SelectedNodeDistribution:
-    """Fill clusters with R selected nodes each until k - s0 are placed;
-    the next cluster takes the remainder, the rest stay empty."""
-    if s0 not in (0, 1):
-        raise S0Range(f"s0={s0}: the construction is proven only for s0 in {{0, 1}}")
-    if s0 > nodes.E:
-        raise ConfigError(f"s0={s0} exceeds separate node count E={nodes.E}")
+    """Select s0 separate nodes and fill clusters with R selected nodes
+    each until k - s0 are placed; the next cluster takes the remainder, the
+    rest stay empty."""
+    if not 0 <= s0 <= min(nodes.E, nodes.k):
+        raise ConfigError(f"s0={s0} outside 0..min(E, k)={min(nodes.E, nodes.k)}")
     remaining = nodes.k - s0
     if remaining > nodes.L * nodes.R:
         raise ConfigError(f"cannot place {remaining} selected nodes in {nodes.L}x{nodes.R}")

@@ -21,6 +21,7 @@ from clustercap.capacity import (
     system_capacity,
     tradeoff_curve,
     weight_sequence,
+    weight_values,
 )
 from clustercap.mincut import mincut
 from clustercap.model import (
@@ -54,6 +55,8 @@ def test_homogeneous_variants_agree():
         ladder = tuple(sorted((R + d_cross - i) * beta for i in range(1, k + 1)))
         assert cluster_weight_values(k, R, d_cross, beta, beta) == ladder
         assert csn_weight_values(k, R, d_cross, beta, beta) == ladder
+        for E in (2, 3):
+            assert weight_values(k, E, R, d_cross, beta, beta) == ladder
 
 
 def test_weight_sequence_variant_requires_separate_node():
@@ -70,14 +73,13 @@ def test_system_capacity_examples():
     assert system_capacity(cfg_fig5(0)) == 0
 
 
-def test_system_capacity_unsupported_separate_count():
+def test_system_capacity_two_separate_nodes_matches_search():
     cfg = validate_config(
         n=6, k=3, L=2, R=2, E=2, d_cross=3, beta_intra=2, beta_cross=1, alpha=5
     )
-    with pytest.raises(UnsupportedE):
-        system_capacity(cfg)
-    # the exhaustive oracle still covers E >= 2
-    assert brute_force_capacity(cfg).value > 0
+    # two separate nodes last (weights 2 and 3), one cluster node first (5)
+    assert system_capacity(cfg) == 10
+    assert brute_force_capacity(cfg).value == 10
 
 
 def test_mincut_by_location_matches_capacity_at_last_position():

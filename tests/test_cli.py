@@ -2,11 +2,14 @@
 byte stability."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from clustercap.cli import approx, main
 from clustercap.codes import CodeInstance, verify_instance
+from clustercap.mincut import mincut
+from clustercap.model import ClusterOrder, SelectedNodeDistribution, validate_config
 
 
 def run(capsys, *argv):
@@ -16,8 +19,6 @@ def run(capsys, *argv):
 
 
 def test_approx_rendering():
-    from fractions import Fraction
-
     assert approx(Fraction(2)) == "2.000000"
     assert approx(Fraction(1, 3)) == "0.333333"
     assert approx(Fraction(2, 3)) == "0.666667"
@@ -64,24 +65,38 @@ def test_capacity_from_config_file(tmp_path, capsys):
     assert "capacity = 6" in out
 
 
-def test_capacity_two_separate_nodes_uses_search(capsys):
+def test_capacity_two_separate_nodes_closed_form(capsys):
     code, out, _ = run(
         capsys, "capacity", "--n", "6", "--k", "3", "--L", "2", "--R", "2",
         "--E", "2", "--dC", "3", "--betaI", "2", "--betaC", "1", "--alpha", "100",
     )
     assert code == 0
-    assert "capacity = " in out
-
-
-def test_capacity_state_budget_exit_2(capsys):
-    code, out, err = run(
-        capsys, "capacity", "--n", "6", "--k", "3", "--L", "2", "--R", "2",
-        "--E", "2", "--dC", "3", "--betaI", "2", "--betaC", "1", "--alpha", "100",
-        "--budget", "3",
+    assert out == (
+        "capacity = 10 (~ 10.000000)\n"
+        "achieving distribution = (2; 1, 0)\n"
+        "achieving order = (1, 0, 0)\n"
     )
-    assert code == 2
-    assert out == ""
-    assert "budget of 3 lattice states" in err
+
+
+def test_capacity_many_separate_nodes_large_instance(capsys):
+    # beyond the default state budget of the lattice DP
+    code, out, _ = run(
+        capsys, "capacity", "--n", "107", "--k", "60", "--L", "12", "--R", "8",
+        "--E", "11", "--dC", "60", "--betaI", "2", "--betaC", "1", "--alpha", "50",
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    config = validate_config(
+        n=107, k=60, L=12, R=8, E=11, d_cross=60, beta_intra=2, beta_cross=1, alpha=50
+    )
+    dist = SelectedNodeDistribution(
+        separate=payload["distribution"]["separate"],
+        clusters=tuple(payload["distribution"]["clusters"]),
+    )
+    order = ClusterOrder(labels=tuple(payload["order"]))
+    assert dist.is_member(config.nodes) and order.matches(dist)
+    assert mincut(config, order).value == Fraction(payload["capacity"])
 
 
 def test_capacity_invalid_params_exit_2(capsys):
@@ -242,6 +257,17 @@ def test_tradeoff_bad_step_exit_2(capsys):
     )
     assert code == 2
     assert "step" in err
+
+
+def test_tradeoff_two_separate_nodes_exit_2(capsys):
+    code, out, err = run(
+        capsys, "tradeoff", "--n", "6", "--k", "3", "--L", "2", "--R", "2",
+        "--E", "2", "--dC", "3", "--tau", "2", "--M", "6",
+        "--grid-start", "1", "--grid-stop", "2", "--grid-step", "1/2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: tradeoff supports only E <= 1 for now, got E=2\n"
 
 
 def test_verify_tiny_family(tmp_path, capsys):

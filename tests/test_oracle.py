@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercap import _kernel_py, oracle
-from clustercap.capacity import lattice_capacity, system_capacity
+from clustercap.capacity import capacity_achiever, system_capacity
 from clustercap.mincut import mincut
 from clustercap.model import (
     ClusterOrder,
@@ -26,13 +26,13 @@ from clustercap.oracle import (
     build_ifg,
     enumeration_size,
     ifg_mincut,
+    lattice_capacity,
     max_flow,
     sample_sweep_triples,
     sweep_configs,
     verify_claims,
 )
 from clustercap.sequencing import horizontal_selection, vertical_order
-from clustercap.capacity import capacity_achiever
 
 
 def cfg(n, k, L, R, E, d_cross, bi, bc, alpha):
@@ -137,11 +137,11 @@ def test_graph_lower_bounds_formula_on_sampled_triples():
         formula = mincut(config, order).value
         graph = ifg_mincut(config, order)
         assert graph <= formula
-    for config in sweep_configs(L_values=(2,), R_values=(2, 3), k_max=5)[::7]:
-        if config.nodes.E > 1:
-            continue
+    configs = sweep_configs(L_values=(2,), R_values=(2, 3), E_values=(0, 1, 2), k_max=5)
+    for config in configs[::7]:
         dist, order = capacity_achiever(config)
         assert ifg_mincut(config, order) == mincut(config, order).value
+        assert mincut(config, order).value == system_capacity(config)
 
 
 def test_known_structured_cut_gap_counterexample():
@@ -209,7 +209,8 @@ def small_configs(draw):
 def test_brute_force_matches_first_naive_minimizer(config):
     """The scan returns the value and the (distribution, order) of the
     first minimizer of `mincut` in scan order: distributions as
-    enumerated, sequences lexicographic with the separate label last."""
+    enumerated, sequences lexicographic with the separate label last.  The
+    closed form and the lattice DP give its value for every E."""
     scan_key = lambda o: tuple(config.nodes.L + 1 if x == 0 else x for x in o.labels)
     best = None
     for dist in enumerate_distributions(config.nodes):
@@ -219,44 +220,49 @@ def test_brute_force_matches_first_naive_minimizer(config):
                 best = (value, dist, order)
     result = brute_force_capacity(config)
     assert (result.value, result.distribution, result.order) == best
-    assert lattice_capacity(config) == best
-    if config.nodes.E <= 1:
-        assert result.value == system_capacity(config)
+    assert system_capacity(config) == best[0]
+    assert lattice_capacity(config) == best[0]
 
 
-def _with_two_separate(config):
+def _with_separate(config, E):
     nd, rp = config.nodes, config.repair
     return cfg(
-        nd.L * nd.R + 2, nd.k, nd.L, nd.R, 2, rp.d_cross,
+        nd.L * nd.R + E, nd.k, nd.L, nd.R, E, rp.d_cross,
         rp.beta_intra, rp.beta_cross, rp.alpha,
     )
 
 
-def test_lattice_capacity_matches_closed_form_and_search_on_sweep():
-    """Every other sweep config: the DP value is the closed form for
-    E <= 1, and on the E=2 analogues with at most 2,000 orders the DP
-    reports the exhaustive scan's (value, distribution, order)."""
-    configs = sweep_configs()[::2]
-    for config in configs:
-        assert lattice_capacity(config)[0] == system_capacity(config)
-    analogues = [
-        c for c in dict.fromkeys(map(_with_two_separate, configs))
-        if enumeration_size(c.nodes) <= 2_000
-    ]
-    assert analogues
-    for config in analogues:
-        result = brute_force_capacity(config)
-        assert lattice_capacity(config) == (result.value, result.distribution, result.order)
-
-
-def test_lattice_capacity_large_instance():
-    """Far beyond the exhaustive scan: the reported selection is valid and
-    its order's min-cut is the reported capacity."""
-    config = cfg(40, 30, 8, 4, 8, 30, 2, 1, Fraction(31, 2))
-    value, dist, order = lattice_capacity(config)
+def _assert_achieves(config, value):
+    dist, order = capacity_achiever(config)
     assert dist.is_member(config.nodes)
     assert order.matches(dist)
     assert mincut(config, order).value == value
+
+
+def test_lattice_capacity_matches_closed_form_and_search_on_sweep():
+    """Every other sweep config and its E=2 and E=3 analogues: the DP value
+    is the closed form, whose achiever's order has that min-cut; on the
+    analogues with at most 2,000 orders the exhaustive scan agrees."""
+    configs = sweep_configs()[::2]
+    analogues = list(dict.fromkeys(_with_separate(c, E) for E in (2, 3) for c in configs))
+    searched = 0
+    for config in configs + analogues:
+        value = system_capacity(config)
+        assert lattice_capacity(config) == value
+        _assert_achieves(config, value)
+        if config.nodes.E >= 2 and enumeration_size(config.nodes) <= 2_000:
+            assert brute_force_capacity(config).value == value
+            searched += 1
+    assert searched
+
+
+def test_lattice_capacity_large_instance():
+    """Far beyond the exhaustive scan: the DP value is the closed form, and
+    the constructive achiever realizes it."""
+    config = cfg(40, 30, 8, 4, 8, 30, 2, 1, Fraction(31, 2))
+    value = system_capacity(config)
+    assert lattice_capacity(config) == value
+    _assert_achieves(config, value)
 
 
 def test_lattice_capacity_state_budget():
@@ -353,6 +359,26 @@ def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
     assert value == original(PLANTED, ClusterOrder(labels=labels)).value
     assert bound == original(PLANTED, vertical_order(dist)).value + RAISE
     assert value < bound
+
+
+def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
+    """The tiny family's E=2 and E=3 analogues pass every claim, and
+    closed-form-vs-search compares there: a planted error fails it."""
+    configs = tuple(
+        dict.fromkeys(
+            _with_separate(c, E) for E in (2, 3) for c in oracle.FAMILIES["tiny"]().configs
+        )
+    )
+    family = VerificationFamily(name="tiny-E23", configs=configs, claims=oracle.ALL_CLAIMS)
+    failures = [r for r in verify_claims(family) if not r.passed]
+    assert not failures, failures[:5]
+    closed = oracle.system_capacity
+    monkeypatch.setattr(oracle, "system_capacity", lambda c: closed(c) + RAISE)
+    planted = VerificationFamily(
+        name="planted", configs=configs[:1], claims=("closed-form-vs-search",)
+    )
+    (report,) = verify_claims(planted)
+    assert not report.passed
 
 
 def test_verify_claims_unknown_family():

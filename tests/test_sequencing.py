@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from clustercap.model import ConfigError, NodeParams, SelectedNodeDistribution
 from clustercap.sequencing import (
-    S0Range,
     SeparatePositions,
     horizontal_selection,
     optimal_order_with_separate_at,
@@ -31,8 +30,10 @@ def test_horizontal_selection_published_examples(k, s0, expected):
 
 def test_horizontal_selection_s0_restricted():
     nodes = NodeParams(n=14, k=5, L=3, R=4, E=2)
-    with pytest.raises(S0Range):
-        horizontal_selection(nodes, 2)
+    got = horizontal_selection(nodes, 2)
+    assert (got.separate, got.clusters) == (2, (3, 0, 0))
+    with pytest.raises(ConfigError):
+        horizontal_selection(nodes, 3)
     with pytest.raises(ConfigError):
         horizontal_selection(NodeParams(n=12, k=5, L=3, R=4, E=0), 1)
 
