@@ -40,16 +40,6 @@ from .model import (
     parse_rational,
     validate_config,
 )
-from .oracle import (
-    BruteForceResult,
-    FlowGraph,
-    VerificationReport,
-    brute_force_capacity,
-    build_ifg,
-    ifg_mincut,
-    lattice_capacity,
-    verify_claims,
-)
 from .sequencing import (
     SeparatePositions,
     horizontal_selection,
@@ -58,6 +48,29 @@ from .sequencing import (
 )
 
 __version__ = "0.1.0"
+
+# The verification oracle is loaded on first use: the CLI's capacity,
+# tradeoff and compare commands never need it, and each CLI call is a
+# fresh process that pays for every module it imports.
+_ORACLE_NAMES = frozenset({
+    "BruteForceResult",
+    "FlowGraph",
+    "VerificationReport",
+    "brute_force_capacity",
+    "build_ifg",
+    "ifg_mincut",
+    "lattice_capacity",
+    "verify_claims",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BandwidthOrder",

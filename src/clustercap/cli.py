@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import codes
 from .capacity import (
     capacity_achiever,
     compare_separate,
@@ -30,7 +29,6 @@ from .model import (
     parse_rational,
     validate_config,
 )
-from .oracle import FAMILIES, verify_claims
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -81,7 +79,7 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
             if key not in raw:
                 raise ConfigError(f"config key {key!r} is missing")
             value = raw[key]
-            if not isinstance(value, (int, str)):
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ConfigError(
                     f"config key {key!r}: {value!r} is neither an integer nor a 'p/q' string"
                 )
@@ -193,6 +191,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify_claims
+
     reports = verify_claims(args.family)
     failed = [r for r in reports if not r.passed]
     payload = {
@@ -249,7 +249,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    inst = codes.search_construction(args.q, seed=args.seed, budget=args.budget)
+    from . import codes
+
+    try:
+        inst = codes.search_construction(args.q, seed=args.seed, budget=args.budget)
+    except codes.SearchExhausted as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return VERIFY_FAILURE
     _emit(inst.to_text(), args.out)
     if args.out is not None:
         sys.stdout.write(f"verified instance over GF({args.q}) written to {args.out}\n")
@@ -289,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("verify", help="run claim checkers over a named config family")
-    p.add_argument("--family", choices=sorted(FAMILIES), default="tiny")
+    p.add_argument("--family", default="tiny",
+                   help="config family (default %(default)s; an unknown name lists the valid ones)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -325,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except codes.SearchExhausted as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return VERIFY_FAILURE
 
 
 if __name__ == "__main__":

@@ -413,6 +413,8 @@ def search_construction(q: int, seed: int = 0, budget: int = 100_000) -> CodeIns
     """
     if not _is_prime(q) or q < 7:
         raise ValueError(f"q={q}: need a prime >= 7 for two aligned (5,3) MDS codes")
+    if budget < 0:
+        raise ValueError(f"budget={budget}: need a non-negative attempt count")
     for attempt in range(1, budget + 1):
         rng = random.Random(f"{seed}:{attempt}")
         inst = _attempt(q, rng)

@@ -2,14 +2,19 @@
 byte stability."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from clustercap.cli import approx, main
+from clustercap.cli import approx, build_parser, main
 from clustercap.codes import CodeInstance, verify_instance
 from clustercap.mincut import mincut
 from clustercap.model import ClusterOrder, SelectedNodeDistribution, validate_config
+from clustercap.oracle import FAMILIES
 
 
 def run(capsys, *argv):
@@ -130,7 +135,10 @@ def test_tradeoff_zero_denominator_exit_2(capsys):
     assert "zero denominator" in err
 
 
-@pytest.mark.parametrize("key, value", [("alpha", 0.5), ("k", 3.5), ("beta_C", None)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", 0.5), ("k", 3.5), ("beta_C", None), ("k", True), ("alpha", True)],
+)
 def test_capacity_config_non_rational_value_exit_2(tmp_path, capsys, key, value):
     raw = {
         "n": 5, "k": 3, "L": 2, "R": 2, "E": 1, "d_C": 3,
@@ -292,6 +300,16 @@ def test_verify_small_sweep_family(tmp_path, capsys):
     assert payload["total"] > 50_000
 
 
+def test_verify_unknown_family_exit_2(capsys):
+    code, _, err = run(capsys, "verify", "--family", "nope")
+    assert code == 2
+    assert "unknown family 'nope'" in err
+    for name in FAMILIES:
+        assert repr(name) in err
+    # the help names no family but the default, which must be a real one
+    assert build_parser().parse_args(["verify"]).family in FAMILIES
+
+
 def test_compare_command(capsys):
     code, out, _ = run(
         capsys, "compare", "--k", "9", "--L", "3", "--R", "4", "--dC", "7",
@@ -323,6 +341,48 @@ def test_construct_command(tmp_path, capsys):
     assert "written to" in out
     inst = CodeInstance.from_text(out_file.read_text(encoding="utf-8"))
     verify_instance(inst)
+
+
+def test_construct_negative_budget_exit_2(capsys):
+    code, out, err = run(capsys, "construct", "--q", "13", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget=-1: need a non-negative attempt count\n"
+
+
+def test_construct_exhausted_budget_exit_1(capsys):
+    code, out, err = run(capsys, "construct", "--q", "13", "--budget", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no valid instance within 0 attempts\n"
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import clustercap
+from clustercap import cli
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["capacity", "--n", "16", "--k", "12", "--L", "3", "--R", "4",
+                     "--E", "4", "--dC", "10", "--betaI", "2", "--betaC", "1",
+                     "--alpha", "5"])
+assert code == 0 and out.getvalue().startswith("capacity = "), out.getvalue()
+loaded = sorted(m for m in ("clustercap.oracle", "clustercap._kernel_py", "clustercap.codes")
+                if m in sys.modules)
+assert not loaded, f"capacity loaded {loaded}"
+for name in clustercap.__all__:
+    getattr(clustercap, name)
+"""
+
+
+def test_capacity_loads_no_oracle_or_codes():
+    # a fresh interpreter: this one has imported every module already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):
