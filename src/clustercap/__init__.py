@@ -72,6 +72,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__() -> list[str]:
+    # lists the lazy oracle names too, without loading the oracle
+    return sorted(set(globals()) | set(__all__))
+
+
 __all__ = [
     "BandwidthOrder",
     "BruteForceResult",

@@ -13,7 +13,6 @@ size.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mincut import mincut
@@ -21,6 +20,7 @@ from .model import (
     ConfigError,
     NodeParams,
     RationalLike,
+    Record,
     RepairParams,
     SystemConfig,
     parse_rational,
@@ -48,13 +48,15 @@ class Variant(enum.Enum):
     CSN_ONE_SEPARATE = "CSN-OneSeparate"
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Record):
     """The k sorted (ascending) incoming weights of the capacity-achieving
     repair sequence."""
 
-    values: tuple[Fraction, ...]
-    variant: Variant
+    __slots__ = ("values", "variant")
+
+    def __init__(self, values: tuple[Fraction, ...], variant: Variant) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "variant", variant)
 
     @property
     def k(self) -> int:
@@ -189,22 +191,32 @@ def min_alpha(weights: WeightSequence, size: RationalLike) -> Fraction:
     raise Unstorable(f"size={size} exceeds saturated capacity {prefix}")
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(Record):
     """One point of the storage/bandwidth tradeoff: the minimum alpha that
     stores `size` at cross-cluster bandwidth beta_cross."""
 
-    beta_cross: Fraction
-    alpha_star: Fraction
-    size: Fraction
+    __slots__ = ("beta_cross", "alpha_star", "size")
+
+    def __init__(self, beta_cross: Fraction, alpha_star: Fraction, size: Fraction) -> None:
+        object.__setattr__(self, "beta_cross", beta_cross)
+        object.__setattr__(self, "alpha_star", alpha_star)
+        object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True)
-class TradeoffResult:
-    points: tuple[TradeoffPoint, ...]
-    unstorable: tuple[Fraction, ...]  # grid values whose capacity saturates below size
-    variant: Variant
-    d_cross: int
+class TradeoffResult(Record):
+    __slots__ = ("points", "unstorable", "variant", "d_cross")
+
+    def __init__(
+        self,
+        points: tuple[TradeoffPoint, ...],
+        unstorable: tuple[Fraction, ...],  # grid values whose capacity saturates below size
+        variant: Variant,
+        d_cross: int,
+    ) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "unstorable", unstorable)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "d_cross", d_cross)
 
 
 def tradeoff_curve(
@@ -255,14 +267,18 @@ class Outcome(enum.Enum):
     REDUCED = "Reduced"
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(Record):
     """Effect of adding one separate node to a cluster system at the
     supplied alpha."""
 
-    outcome: Outcome
-    capacity_without: Fraction
-    capacity_with: Fraction
+    __slots__ = ("outcome", "capacity_without", "capacity_with")
+
+    def __init__(
+        self, outcome: Outcome, capacity_without: Fraction, capacity_with: Fraction
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "capacity_without", capacity_without)
+        object.__setattr__(self, "capacity_with", capacity_with)
 
 
 def compare_separate(nodes: NodeParams, repair: RepairParams) -> ComparisonVerdict:

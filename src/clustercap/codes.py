@@ -19,8 +19,9 @@ a fully verified instance deterministically from a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations
+
+from .model import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -112,17 +113,18 @@ class PrimeField:
         return [sum(c * v for c, v in zip(row, vec)) % self.q for row in rows]
 
 
-@dataclass(frozen=True)
-class NodeContents:
+class NodeContents(Record):
     """One storage node's two symbols (alpha = 2)."""
 
-    node: int
-    x: int
-    y: int
+    __slots__ = ("node", "x", "y")
+
+    def __init__(self, node: int, x: int, y: int) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(Record):
     """Downloads and decode map for one failure pattern.
 
     `coefficients[h] = (c1, c2)` means helper h sends c1*x_h + c2*y_h.
@@ -131,25 +133,43 @@ class RepairPlan:
     helper combinations in `helpers` order) to the lost (x, y).
     """
 
-    failed: int
-    partner: int | None
-    helpers: tuple[int, ...]
-    coefficients: dict[int, tuple[int, int]]
-    decode: Matrix
+    __slots__ = ("failed", "partner", "helpers", "coefficients", "decode")
+
+    def __init__(
+        self,
+        failed: int,
+        partner: int | None,
+        helpers: tuple[int, ...],
+        coefficients: dict[int, tuple[int, int]],
+        decode: Matrix,
+    ) -> None:
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "helpers", helpers)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "decode", decode)
 
     @property
     def download_count(self) -> int:
         return (2 if self.partner is not None else 0) + len(self.helpers)
 
 
-@dataclass(frozen=True)
-class CodeInstance:
+class CodeInstance(Record):
     """Encoding matrices plus verified repair plans over GF(q)."""
 
-    q: int
-    a: Matrix  # 3x2, x-code parity columns
-    b: Matrix  # 3x2, y-code parity columns
-    plans: dict[int, RepairPlan]
+    __slots__ = ("q", "a", "b", "plans")
+
+    def __init__(
+        self,
+        q: int,
+        a: Matrix,  # 3x2, x-code parity columns
+        b: Matrix,  # 3x2, y-code parity columns
+        plans: dict[int, RepairPlan],
+    ) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "plans", plans)
 
     def field(self) -> PrimeField:
         return PrimeField(self.q)
@@ -471,7 +491,9 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
     decode = _solve_decode(inst, plan3)
     if decode is None:
         return None
-    plans[SEPARATE_NODE] = replace(plan3, decode=decode)
+    plans[SEPARATE_NODE] = RepairPlan(
+        SEPARATE_NODE, None, plan3.helpers, plan3.coefficients, decode
+    )
 
     for failed in (1, 2, 4, 5):
         partner, helpers = _cluster_info(failed)
@@ -492,7 +514,7 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
             )
             decode = _solve_decode(inst, candidate)
             if decode is not None:
-                found = replace(candidate, decode=decode)
+                found = RepairPlan(failed, partner, helpers, coefficients, decode)
                 break
         if found is None:
             return None

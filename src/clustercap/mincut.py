@@ -20,22 +20,23 @@ d_intra = R - 1 bounds h_i <= d_intra + 1; this is asserted, not clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ClusterOrder, SystemConfig
+from .model import ClusterOrder, Record, SystemConfig
 
 WeightVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class CutReport:
+class CutReport(Record):
     """Min-cut value with the weights behind it; capped[i] is True where
     alpha (not w_i) was the minimum at position i."""
 
-    value: Fraction
-    weights: WeightVector
-    capped: tuple[bool, ...]
+    __slots__ = ("value", "weights", "capped")
+
+    def __init__(self, value: Fraction, weights: WeightVector, capped: tuple[bool, ...]) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "capped", capped)
 
 
 def relative_location(order: ClusterOrder) -> tuple[int, ...]:

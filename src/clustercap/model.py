@@ -12,10 +12,10 @@ no floating point is used anywhere in the computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator
+from operator import attrgetter
 
 Rational = Fraction
 
@@ -83,18 +83,56 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class NodeParams:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `__slots__` and sets them in its own
+    `__init__` with `object.__setattr__`, then validates them.  Equality
+    (same type only), hashing and repr follow the field values in slot
+    order.  Defining a subclass generates no code, and importing this
+    module imports nothing beyond the standard library's start-up set.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which re-validates
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class NodeParams(Record):
     """Node-level layout: n total nodes, k to reconstruct, L clusters of
     R nodes, E separate nodes."""
 
-    n: int
-    k: int
-    L: int
-    R: int
-    E: int
+    __slots__ = ("n", "k", "L", "R", "E")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, k: int, L: int, R: int, E: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "E", E)
         if self.L < 1 or self.R < 1 or self.E < 0:
             raise KRange(f"need L >= 1, R >= 1, E >= 0; got L={self.L} R={self.R} E={self.E}")
         if self.n != self.L * self.R + self.E:
@@ -103,21 +141,28 @@ class NodeParams:
             raise KRange(f"k={self.k} outside [1, n-1]=[1, {self.n - 1}]")
 
 
-@dataclass(frozen=True)
-class RepairParams:
+class RepairParams(Record):
     """Storage and repair-bandwidth parameters.
 
     alpha is the per-node storage; helper counts and per-helper downloads
     are split into intra-cluster and cross-cluster classes.
     """
 
-    alpha: Fraction
-    d_intra: int
-    beta_intra: Fraction
-    d_cross: int
-    beta_cross: Fraction
+    __slots__ = ("alpha", "d_intra", "beta_intra", "d_cross", "beta_cross")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        alpha: Fraction,
+        d_intra: int,
+        beta_intra: Fraction,
+        d_cross: int,
+        beta_cross: Fraction,
+    ) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "d_intra", d_intra)
+        object.__setattr__(self, "beta_intra", beta_intra)
+        object.__setattr__(self, "d_cross", d_cross)
+        object.__setattr__(self, "beta_cross", beta_cross)
         if self.alpha < 0:
             raise ConfigError(f"alpha={self.alpha} must be >= 0")
         if self.beta_cross < 0:
@@ -146,15 +191,15 @@ class RepairParams:
         return self.d * self.beta_cross
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """A fully validated system: node layout plus repair parameters."""
 
-    nodes: NodeParams
-    repair: RepairParams
+    __slots__ = ("nodes", "repair")
 
-    def __post_init__(self) -> None:
-        nd, rp = self.nodes, self.repair
+    def __init__(self, nodes: NodeParams, repair: RepairParams) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "repair", repair)
+        nd, rp = nodes, repair
         if rp.d_intra != nd.R - 1:
             raise DInvalid(f"d_intra={rp.d_intra} but must equal R-1={nd.R - 1}")
         lo, hi = nd.k - nd.R + 1, nd.n - nd.R
@@ -219,16 +264,16 @@ def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class SelectedNodeDistribution:
+class SelectedNodeDistribution(Record):
     """How the k collector nodes spread over clusters: `separate` of them
     are separate nodes, clusters[i] sit in cluster i+1 (counts
     non-increasing; clusters are relabeled by selection count)."""
 
-    separate: int
-    clusters: tuple[int, ...]
+    __slots__ = ("separate", "clusters")
 
-    def __post_init__(self) -> None:
+    def __init__(self, separate: int, clusters: tuple[int, ...]) -> None:
+        object.__setattr__(self, "separate", separate)
+        object.__setattr__(self, "clusters", clusters)
         if self.separate < 0 or any(c < 0 for c in self.clusters):
             raise ConfigError(f"negative count in {self}")
         if any(a < b for a, b in zip(self.clusters, self.clusters[1:])):
@@ -251,14 +296,14 @@ class SelectedNodeDistribution:
         return f"({self.separate}; {', '.join(str(c) for c in self.clusters)})"
 
 
-@dataclass(frozen=True)
-class ClusterOrder:
+class ClusterOrder(Record):
     """A repair sequence recorded as cluster indices, one entry per
     selected node; 0 marks a separate node."""
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        object.__setattr__(self, "labels", labels)
         if any(x < 0 for x in self.labels):
             raise ConfigError(f"negative cluster label in {self.labels}")
 

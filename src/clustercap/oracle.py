@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -32,6 +31,7 @@ from .model import (
     BudgetExceeded,
     ClusterOrder,
     NodeParams,
+    Record,
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
@@ -47,11 +47,15 @@ DEFAULT_BUDGET = 10_000_000
 DEFAULT_STATE_BUDGET = 1_000_000  # lattice states per forward pass
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    value: Fraction
-    distribution: SelectedNodeDistribution
-    order: ClusterOrder
+class BruteForceResult(Record):
+    __slots__ = ("value", "distribution", "order")
+
+    def __init__(
+        self, value: Fraction, distribution: SelectedNodeDistribution, order: ClusterOrder
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "order", order)
 
 
 def enumeration_size(nodes: NodeParams) -> int:
@@ -153,17 +157,27 @@ def lattice_capacity(cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET) -> F
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(Record):
     """Directed graph with integer capacities (rationals cleared by
     `scale`); `infinite` exceeds the sum of all finite capacities."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
-    source: int
-    sink: int
-    scale: int
-    infinite: int
+    __slots__ = ("vertex_count", "edges", "source", "sink", "scale", "infinite")
+
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: tuple[tuple[int, int, int], ...],
+        source: int,
+        sink: int,
+        scale: int,
+        infinite: int,
+    ) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "infinite", infinite)
 
 
 def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
@@ -332,20 +346,28 @@ def ifg_mincut(cfg: SystemConfig, order: ClusterOrder) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    instance: str
-    claim: str
-    passed: bool
-    counterexample: str | None = None
+class VerificationReport(Record):
+    __slots__ = ("instance", "claim", "passed", "counterexample")
+
+    def __init__(
+        self, instance: str, claim: str, passed: bool, counterexample: str | None = None
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class VerificationFamily:
-    name: str
-    configs: tuple[SystemConfig, ...]
-    claims: tuple[str, ...]
-    seed: int = 0
+class VerificationFamily(Record):
+    __slots__ = ("name", "configs", "claims", "seed")
+
+    def __init__(
+        self, name: str, configs: tuple[SystemConfig, ...], claims: tuple[str, ...], seed: int = 0
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "claims", claims)
+        object.__setattr__(self, "seed", seed)
 
 
 SWEEP_BETA_PAIRS = ((1, 1), (2, 1), (3, 1), (3, 2))

@@ -14,19 +14,16 @@ the cluster labels cycle around them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import ClusterOrder, ConfigError, NodeParams, SelectedNodeDistribution
+from .model import ClusterOrder, ConfigError, NodeParams, Record, SelectedNodeDistribution
 
 
-@dataclass(frozen=True)
-class SeparatePositions:
+class SeparatePositions(Record):
     """1-based sequence positions reserved for separate selected nodes."""
 
-    positions: tuple[int, ...]
+    __slots__ = ("positions",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(sorted(self.positions)))
+    def __init__(self, positions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "positions", tuple(sorted(positions)))
         if len(set(self.positions)) != len(self.positions):
             raise ConfigError(f"duplicate separate positions {self.positions}")
 

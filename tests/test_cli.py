@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, file emission, and
 byte stability."""
 
+import ast
 import json
 import os
 import subprocess
@@ -383,6 +384,77 @@ def test_capacity_loads_no_oracle_or_codes():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports clustercap from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+_IMPORT_BUDGET_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from clustercap import cli
+
+commands = [
+    ["capacity", "--n", "16", "--k", "12", "--L", "3", "--R", "4", "--E", "4",
+     "--dC", "10", "--betaI", "2", "--betaC", "1", "--alpha", "5"],
+    ["compare", "--k", "9", "--L", "3", "--R", "4", "--dC", "7",
+     "--betaI", "2", "--betaC", "1", "--alpha", "1000"],
+    ["tradeoff", "--n", "5", "--k", "3", "--L", "2", "--R", "2", "--E", "1",
+     "--dC", "3", "--tau", "2", "--M", "6",
+     "--grid-start", "1/2", "--grid-stop", "2", "--grid-step", "1/2", "--format", "json"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    assert code == 0 and out.getvalue(), (argv, out.getvalue())
+banned = ("dataclasses", "inspect", "clustercap.oracle", "clustercap._kernel_py",
+          "clustercap.codes")
+loaded = [m for m in banned if m in sys.modules and m not in before]
+assert not loaded, f"the CLI loaded {loaded}"
+"""
+
+
+def test_capacity_compare_tradeoff_stay_within_import_budget():
+    # modules the interpreter loaded before clustercap are not the CLI's cost
+    _run_fresh(_IMPORT_BUDGET_PROBE)
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(__file__).resolve().parent.parent / "src" / "clustercap"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
+_DIR_PROBE = """
+import sys
+import clustercap
+names = dir(clustercap)
+assert names == sorted(names)
+missing = sorted(set(clustercap.__all__) - set(names))
+assert not missing, f"dir() lacks {missing}"
+assert "clustercap.oracle" not in sys.modules, "dir() loaded the oracle"
+"""
+
+
+def test_dir_lists_lazy_names_without_loading_oracle():
+    _run_fresh(_DIR_PROBE)
 
 
 def test_unknown_subcommand_exits_2(capsys):

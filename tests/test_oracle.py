@@ -1,6 +1,5 @@
 """Exhaustive-search and flow-graph oracle tests."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from clustercap import _kernel_py, oracle
 from clustercap.capacity import capacity_achiever, system_capacity
-from clustercap.mincut import mincut
+from clustercap.mincut import CutReport, mincut
 from clustercap.model import (
     ClusterOrder,
     NodeParams,
@@ -343,10 +342,12 @@ def test_thm1_flags_planted_violation_on_rational_config(monkeypatch):
 
 def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
     original = oracle.mincut
-    monkeypatch.setattr(
-        oracle, "mincut",
-        lambda c, o: dataclasses.replace(original(c, o), value=original(c, o).value + RAISE),
-    )
+
+    def raised(c, o):
+        r = original(c, o)
+        return CutReport(value=r.value + RAISE, weights=r.weights, capped=r.capped)
+
+    monkeypatch.setattr(oracle, "mincut", raised)
     report = _only_report("prop1-vertical")
     assert not report.passed
     match = re.search(r"order \(([\d, ]+)\) gives (\S+) < (\S+)$", report.counterexample)
