@@ -13,9 +13,12 @@ size.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
-from .mincut import mincut
+from .mincut import _scaled_cut
 from .model import (
     ConfigError,
     NodeParams,
@@ -166,8 +169,53 @@ def mincut_by_location(cfg: SystemConfig, j: int) -> Fraction:
     j; non-increasing in j."""
     if cfg.nodes.E < 1:
         raise ConfigError("separate-node location sweep needs E >= 1")
-    order = optimal_order_with_separate_at(cfg.nodes, j)
-    return mincut(cfg, order).value
+    scale, _, cut, _ = _scaled_cut(cfg, optimal_order_with_separate_at(cfg.nodes, j))
+    return Fraction(cut, scale)
+
+
+def _inversion_table(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Prefix sums P_0..P_k and breakpoints B_1..B_k of ascending integer
+    weights w_1..w_k.
+
+    B_i = P_{i-1} + (k-i+1)*w_i is C(alpha) = sum(min(alpha, w_j)) at
+    alpha = w_i, so the least alpha storing a size lies on segment
+    [w_{i-1}, w_i] of the first i with size <= B_i.  B_{i+1} - B_i =
+    (k-i)*(w_{i+1} - w_i) >= 0, so the breakpoints are non-decreasing,
+    and B_k = P_k is the saturated capacity.
+    """
+    k = len(values)
+    prefix = [0]
+    breaks = []
+    for i, w in enumerate(values):
+        breaks.append(prefix[i] + (k - i) * w)
+        prefix.append(prefix[i] + w)
+    return prefix, breaks
+
+
+def _invert(
+    table: tuple[list[int], list[int]], size: Fraction, scale_num: int, scale_den: int
+) -> Fraction | None:
+    """Least alpha with sum(min(alpha, s*w_i)) >= size, where s =
+    scale_num/scale_den > 0 and `table` is _inversion_table(w); None when
+    size exceeds the saturated capacity s*P_k.
+
+    The weights s*w give the breakpoints s*B_i, so the segment is the first
+    i with B_i >= size/s, or B_i >= ceil(size/s) since B_i is an integer;
+    on it alpha = (size - s*P_{i-1}) / (k-i+1).
+    """
+    prefix, breaks = table
+    m, d = size.numerator, size.denominator
+    i = bisect_left(breaks, -(-m * scale_den // (d * scale_num)))
+    if i == len(breaks):
+        return None
+    return Fraction(
+        m * scale_den - scale_num * prefix[i] * d, d * scale_den * (len(breaks) - i)
+    )
+
+
+def _check_size(size: Fraction) -> None:
+    if size < 0:
+        raise ValueError(f"size={size} must be >= 0")
 
 
 def min_alpha(weights: WeightSequence, size: RationalLike) -> Fraction:
@@ -175,20 +223,22 @@ def min_alpha(weights: WeightSequence, size: RationalLike) -> Fraction:
 
     Piecewise inversion of C(alpha) = sum(min(alpha, w*_i)): on the segment
     alpha in [w*_{i-1}, w*_i] the capacity is sum_{j<i} w*_j + (k-i+1)*alpha.
-    The first segment covers size in [0, k*w*_1].
+    The first segment covers size in [0, k*w*_1].  The weights are cleared
+    to integers by their common denominator D and inverted at scale 1/D;
+    C does not depend on their order, so they are sorted first.
     """
     size = parse_rational(size)
-    if size < 0:
-        raise ValueError(f"size={size} must be >= 0")
-    values = weights.values
-    k = len(values)
-    prefix = Fraction(0)
-    for i, w in enumerate(values, start=1):
-        # capacity at alpha = w is prefix + (k - i + 1) * w
-        if size <= prefix + (k - i + 1) * w:
-            return (size - prefix) / (k - i + 1)
-        prefix += w
-    raise Unstorable(f"size={size} exceeds saturated capacity {prefix}")
+    _check_size(size)
+    scale = lcm(*(w.denominator for w in weights.values))
+    table = _inversion_table(
+        sorted(w.numerator * (scale // w.denominator) for w in weights.values)
+    )
+    alpha = _invert(table, size, 1, scale)
+    if alpha is None:
+        raise Unstorable(
+            f"size={size} exceeds saturated capacity {Fraction(table[0][-1], scale)}"
+        )
+    return alpha
 
 
 class TradeoffPoint(Record):
@@ -228,7 +278,11 @@ def tradeoff_curve(
 ) -> TradeoffResult:
     """Minimum-storage curve over a beta_cross grid with beta_intra =
     tau * beta_cross; grid points that cannot store `size` at all are
-    omitted and reported."""
+    omitted and reported.
+
+    Every weight is linear in beta_cross, so alpha*(size; b*u) =
+    b * alpha*(size/b; u) and one inversion table of the unit weights u
+    serves the whole grid."""
     tau = parse_rational(tau)
     size = parse_rational(size)
     if tau < 1:
@@ -237,23 +291,26 @@ def tradeoff_curve(
     lo, hi = nodes.k - nodes.R + 1, nodes.n - nodes.R
     if d_cross < 0 or not lo <= d_cross <= hi:
         raise ConfigError(f"d_cross={d_cross} outside [{lo}, {hi}]")
-    points = []
-    unstorable = []
     for beta_cross in grid:
         if beta_cross <= 0:
             raise ConfigError(f"grid value {beta_cross} must be positive")
-        ws = WeightSequence(
-            values=weight_values(
-                nodes.k, nodes.E, nodes.R, d_cross, tau * beta_cross, beta_cross
-            ),
-            variant=variant,
-        )
-        try:
-            alpha_star = min_alpha(ws, size)
-        except Unstorable:
+    _check_size(size)
+    # the weights at beta_cross = b are b/t times the integer weights at
+    # (beta_intra, beta_cross) = (tau*t, t), t the denominator of tau
+    t = tau.denominator
+    table = _inversion_table(
+        weight_values(nodes.k, nodes.E, nodes.R, d_cross, tau.numerator, t)
+    )
+    points = []
+    unstorable = []
+    for beta_cross in grid:
+        alpha_star = _invert(table, size, beta_cross.numerator, beta_cross.denominator * t)
+        if alpha_star is None:
             unstorable.append(beta_cross)
-            continue
-        points.append(TradeoffPoint(beta_cross=beta_cross, alpha_star=alpha_star, size=size))
+        else:
+            points.append(
+                TradeoffPoint(beta_cross=beta_cross, alpha_star=alpha_star, size=size)
+            )
     return TradeoffResult(
         points=tuple(points),
         unstorable=tuple(unstorable),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import ClusterOrder, Record, SystemConfig
+from .model import ClusterOrder, Record, SystemConfig, _scaled_bandwidths
 
 WeightVector = tuple[Fraction, ...]
 
@@ -88,24 +88,44 @@ def incoming_coefficients(
     return _coefficients(order.labels, 0, d_intra, d_cross)
 
 
-def part_incoming_weights(cfg: SystemConfig, order: ClusterOrder) -> WeightVector:
-    """The k incoming weights of a repair sequence, in sequence order."""
-    nd, rp = cfg.nodes, cfg.repair
+def _check_order(cfg: SystemConfig, order: ClusterOrder) -> None:
+    nd = cfg.nodes
     if order.k != nd.k:
         raise ValueError(f"order has {order.k} entries, config has k={nd.k}")
     if any(x > nd.L for x in order.labels):
         raise ValueError(f"cluster label exceeds L={nd.L} in {order}")
     if nd.E == 0 and any(x == 0 for x in order.labels):
         raise ValueError("separate entry in order but E=0")
+
+
+def part_incoming_weights(cfg: SystemConfig, order: ClusterOrder) -> WeightVector:
+    """The k incoming weights of a repair sequence, in sequence order."""
+    _check_order(cfg, order)
+    rp = cfg.repair
     coeffs = incoming_coefficients(rp.d_intra, rp.d_cross, order)
     return tuple(a * rp.beta_intra + b * rp.beta_cross for a, b, _ in coeffs)
 
 
+def _scaled_cut(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, int, int, list[int]]:
+    """(scale, alpha, cut, weights) of a repair sequence with the
+    bandwidths cleared to integers by `scale`: the cut is
+    sum(min(alpha, w_i)) over the scaled weights, in sequence order."""
+    _check_order(cfg, order)
+    rp = cfg.repair
+    scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
+    weights = [
+        a * beta_intra + b * beta_cross
+        for a, b, _ in _coefficients(order.labels, 0, rp.d_intra, rp.d_cross)
+    ]
+    return scale, alpha, sum(alpha if alpha < w else w for w in weights), weights
+
+
 def mincut(cfg: SystemConfig, order: ClusterOrder) -> CutReport:
     """Min-cut of the flow graph induced by `order`: sum of
-    min(alpha, w_i) over the k positions."""
-    weights = part_incoming_weights(cfg, order)
-    alpha = cfg.repair.alpha
-    capped = tuple(alpha < w for w in weights)
-    value = sum((min(alpha, w) for w in weights), start=Fraction(0))
-    return CutReport(value=value, weights=weights, capped=capped)
+    min(alpha, w_i) over the k positions, summed on scaled integers."""
+    scale, alpha, cut, weights = _scaled_cut(cfg, order)
+    return CutReport(
+        value=Fraction(cut, scale),
+        weights=tuple(Fraction(w, scale) for w in weights),
+        capped=tuple(alpha < w for w in weights),
+    )

@@ -258,9 +258,9 @@ def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
     )
     return (
         scale,
-        int(rp.alpha * scale),
-        int(rp.beta_intra * scale),
-        int(rp.beta_cross * scale),
+        rp.alpha.numerator * (scale // rp.alpha.denominator),
+        rp.beta_intra.numerator * (scale // rp.beta_intra.denominator),
+        rp.beta_cross.numerator * (scale // rp.beta_cross.denominator),
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from math import ceil
 from operator import itemgetter
 
 from . import _kernel_py
@@ -26,7 +27,7 @@ from .capacity import (
     system_capacity,
     weight_values,
 )
-from .mincut import _coefficient, incoming_coefficients, mincut
+from .mincut import _coefficient, _scaled_cut, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -480,13 +481,16 @@ def _check_prop2(cfg: SystemConfig):
     if nd.k > nd.L * nd.R:
         return True, None  # no all-cluster selection exists
     star = horizontal_selection(nd, 0)
-    best = mincut(cfg, vertical_order(star, SeparatePositions.none())).value
+    scale, _, best, _ = _scaled_cut(cfg, vertical_order(star, SeparatePositions.none()))
     for dist in enumerate_distributions(nd):
         if dist.separate != 0:
             continue
-        value = mincut(cfg, vertical_order(dist, SeparatePositions.none())).value
+        value = _scaled_cut(cfg, vertical_order(dist, SeparatePositions.none()))[2]
         if value < best:
-            return False, f"s={dist} gives {value} < {best} at s*={star}"
+            return False, (
+                f"s={dist} gives {Fraction(value, scale)} < {Fraction(best, scale)} "
+                f"at s*={star}"
+            )
     return True, None
 
 
@@ -498,7 +502,8 @@ def _check_thm1(cfg: SystemConfig):
         return True, None
     scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
     by_location = {j: mincut_by_location(cfg, j) for j in range(1, nd.k + 1)}
-    scaled = {j: bound * scale for j, bound in by_location.items()}
+    # an integer cut is below a bound iff it is below the bound's ceiling
+    scaled = {j: ceil(bound * scale) for j, bound in by_location.items()}
     for dist in enumerate_distributions(nd):
         if dist.separate != 1:
             continue

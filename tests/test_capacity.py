@@ -126,6 +126,9 @@ def test_min_alpha_piecewise_boundaries():
     assert min_alpha(ws, Fraction(13, 2)) == Fraction(9, 4)
     # segment joints: capacity at alpha=3 is 2+3+3 = 8
     assert min_alpha(ws, 8) == 3
+    # the capacity does not depend on the order of the weights
+    shuffled = WeightSequence(values=ws.values[::-1], variant=ws.variant)
+    assert min_alpha(shuffled, 8) == 3
 
 
 @given(st.fractions(0, 10, max_denominator=8))
@@ -170,6 +173,71 @@ def test_tradeoff_curve_monotone_in_beta():
     result = tradeoff_curve(nodes, 9, 2, 32, grid)
     alphas = [p.alpha_star for p in result.points]
     assert all(x >= y for x, y in zip(alphas, alphas[1:]))
+
+
+@st.composite
+def tradeoff_cases(draw):
+    """A tradeoff query with E <= 1 whose grid also holds every
+    beta_cross at which `size` sits exactly on a breakpoint B_i of the
+    unit weights (b = size / B_i), saturation (b = size / P_k) among them."""
+    L = draw(st.integers(2, 3))
+    R = draw(st.integers(2, 4))
+    E = draw(st.integers(0, 1))
+    n = L * R + E
+    k = draw(st.integers(2, n - 1))
+    nodes = NodeParams(n=n, k=k, L=L, R=R, E=E)
+    d_cross = draw(st.integers(max(0, k - R + 1), n - R))
+    tau = draw(st.fractions(1, 4, max_denominator=5))
+    size = draw(st.just(Fraction(0)) | st.fractions(0, 40, max_denominator=6))
+    start = draw(st.fractions(Fraction(1, 20), 3, max_denominator=20))
+    step = draw(st.fractions(Fraction(1, 20), 1, max_denominator=20))
+    grid = [start + i * step for i in range(draw(st.integers(1, 6)))]
+    unit = weight_values(k, E, R, d_cross, tau, Fraction(1))
+    prefix = [sum(unit[:i], start=Fraction(0)) for i in range(k + 1)]
+    breaks = [prefix[i - 1] + (k - i + 1) * unit[i - 1] for i in range(1, k + 1)]
+    assert breaks[-1] == prefix[-1]
+    if size > 0:
+        grid += [size / b for b in breaks if b > 0]
+    return nodes, d_cross, tau, size, grid
+
+
+@given(tradeoff_cases())
+@settings(max_examples=150, deadline=None)
+def test_tradeoff_curve_matches_per_point_inversion(case):
+    """One unit profile per curve gives what inverting the weights of
+    every grid point does, exactly."""
+    nodes, d_cross, tau, size, grid = case
+    result = tradeoff_curve(nodes, d_cross, tau, size, grid)
+    variant = Variant.CLUSTER_DSS if nodes.E == 0 else Variant.CSN_ONE_SEPARATE
+    points, unstorable = [], []
+    for b in grid:
+        values = weight_values(nodes.k, nodes.E, nodes.R, d_cross, tau * b, b)
+        try:
+            alpha = min_alpha(WeightSequence(values=values, variant=variant), size)
+        except Unstorable:
+            assert sum(values) < size
+            unstorable.append(b)
+            continue
+        assert sum(min(alpha, w) for w in values) == size
+        points.append((b, alpha, size))
+    assert [(p.beta_cross, p.alpha_star, p.size) for p in result.points] == points
+    assert result.unstorable == tuple(unstorable)
+    assert (result.variant, result.d_cross) == (variant, d_cross)
+
+
+def test_tradeoff_curve_on_breakpoints_and_saturation():
+    """size = 8 sits on the breakpoint B_2 = 8 of the fig. 5 weights
+    (2, 3, 5) at beta_cross = 1, and on saturation P_3 = 10 at
+    beta_cross = 4/5; a hair below 4/5 it cannot be stored."""
+    nodes = NodeParams(n=5, k=3, L=2, R=2, E=1)
+    assert weight_values(3, 1, 2, 3, Fraction(2), Fraction(1)) == (2, 3, 5)
+    grid = [Fraction(1), Fraction(4, 5), Fraction(4, 5) - Fraction(1, 1000)]
+    result = tradeoff_curve(nodes, 3, 2, 8, grid)
+    assert [(p.beta_cross, p.alpha_star) for p in result.points] == [
+        (Fraction(1), Fraction(3)),
+        (Fraction(4, 5), Fraction(4)),
+    ]
+    assert result.unstorable == (Fraction(799, 1000),)
 
 
 @pytest.mark.parametrize(

@@ -268,6 +268,29 @@ def test_tradeoff_bad_step_exit_2(capsys):
     assert "step" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--M", "-1", "size=-1 must be >= 0"),
+        ("--tau", "1/2", "tau=1/2 must be >= 1 (intra at least as wide as cross)"),
+        ("--dC", "1", "d_cross=1 outside [2, 3]"),
+        ("--dC", "4", "d_cross=4 outside [2, 3]"),
+        ("--grid-start", "0", "grid value 0 must be positive"),
+    ],
+)
+def test_tradeoff_invalid_parameter_exit_2(capsys, flag, value, message):
+    argv = [
+        "tradeoff", "--n", "5", "--k", "3", "--L", "2", "--R", "2", "--E", "1",
+        "--dC", "3", "--tau", "2", "--M", "6",
+        "--grid-start", "1", "--grid-stop", "2", "--grid-step", "1/2",
+    ]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_tradeoff_two_separate_nodes_exit_2(capsys):
     code, out, err = run(
         capsys, "tradeoff", "--n", "6", "--k", "3", "--L", "2", "--R", "2",

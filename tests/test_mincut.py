@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clustercap.capacity import mincut_by_location
 from clustercap.mincut import (
     incoming_coefficients,
     mincut,
@@ -16,13 +17,16 @@ from clustercap.mincut import (
 from clustercap.model import (
     ClusterOrder,
     NodeParams,
+    _scaled_bandwidths,
     enumerate_distributions,
     enumerate_orders,
     validate_config,
 )
+from clustercap.oracle import sweep_configs
 from clustercap.sequencing import (
     SeparatePositions,
     horizontal_selection,
+    optimal_order_with_separate_at,
     vertical_order,
 )
 
@@ -185,3 +189,43 @@ def test_weights_nonnegative_and_cut_bounded(pair):
     report = mincut(cfg, order)
     assert 0 <= report.value <= cfg.nodes.k * max(cfg.repair.alpha, Fraction(0))
     assert report.value == sum(min(cfg.repair.alpha, w) for w in weights)
+
+
+def test_integer_cut_matches_fraction_weights_on_scaled_sweep():
+    """mincut and mincut_by_location sum scaled integers; with the sweep
+    bandwidths and alphas scaled by 2/7 (scale 7) they still equal the
+    cut summed over the exact rational weights, for every order."""
+    checked = 0
+    for base in sweep_configs(L_values=(2,), R_values=(2, 3), k_max=4):
+        nd, rp = base.nodes, base.repair
+        cfg = validate_config(
+            n=nd.n, k=nd.k, L=nd.L, R=nd.R, E=nd.E, d_cross=rp.d_cross,
+            beta_intra=rp.beta_intra * Fraction(2, 7),
+            beta_cross=rp.beta_cross * Fraction(2, 7),
+            alpha=rp.alpha * Fraction(2, 7),
+        )
+        assert _scaled_bandwidths(cfg)[0] == 7
+        alpha = cfg.repair.alpha
+        for dist in enumerate_distributions(nd):
+            for order in enumerate_orders(dist):
+                weights = part_incoming_weights(cfg, order)
+                report = mincut(cfg, order)
+                assert report.value == sum(min(alpha, w) for w in weights), order
+                assert report.weights == weights
+                assert report.capped == tuple(alpha < w for w in weights)
+                checked += 1
+        if nd.E >= 1 and nd.k - 1 <= nd.L * nd.R:
+            for j in range(1, nd.k + 1):
+                order = optimal_order_with_separate_at(nd, j)
+                weights = part_incoming_weights(cfg, order)
+                assert mincut_by_location(cfg, j) == sum(min(alpha, w) for w in weights)
+    assert checked > 1000
+
+
+def test_mincut_rejects_mismatched_orders():
+    with pytest.raises(ValueError):
+        mincut(cfg_small(), ClusterOrder((1, 1, 1)))
+    with pytest.raises(ValueError):
+        mincut(cfg_small(), ClusterOrder((1, 0)))  # E=0
+    with pytest.raises(ValueError):
+        mincut(cfg_small(), ClusterOrder((1, 3)))  # L=2
