@@ -26,6 +26,7 @@ from .model import (
     Record,
     RepairParams,
     SystemConfig,
+    _scaled_bandwidths,
     parse_rational,
 )
 from .sequencing import (
@@ -148,10 +149,12 @@ def _variant_for(nodes: NodeParams) -> Variant:
 
 def system_capacity(cfg: SystemConfig) -> Fraction:
     """Exact capacity for any E: sum of min(alpha, w*_i) over the sorted
-    weights of the sequence with min(E, k) separate nodes last."""
+    weights of the sequence with min(E, k) separate nodes last, summed on
+    the bandwidths cleared to integers and divided once by their scale."""
     nd, rp = cfg.nodes, cfg.repair
-    values = weight_values(nd.k, nd.E, nd.R, rp.d_cross, rp.beta_intra, rp.beta_cross)
-    return sum((min(rp.alpha, w) for w in values), start=Fraction(0))
+    scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
+    values = weight_values(nd.k, nd.E, nd.R, rp.d_cross, beta_intra, beta_cross)
+    return Fraction(sum(alpha if alpha < w else w for w in values), scale)
 
 
 def capacity_achiever(cfg: SystemConfig):

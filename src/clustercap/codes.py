@@ -201,35 +201,46 @@ class CodeInstance(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "CodeInstance":
+        """Parse `to_text` output; raises ValueError on any malformed text."""
         lines = [ln.split() for ln in text.strip().splitlines()]
         i = 0
-        if lines[i][0] != "q":
+
+        def take(label: str, count: int) -> list[str]:
+            """The `count` entries of line i, which must start with `label`."""
+            nonlocal i
+            if i == len(lines):
+                raise ValueError(f"text ends before the {label!r} line")
+            if lines[i][:1] != [label]:
+                raise ValueError(f"expected {label!r}, got {lines[i]}")
+            entries = lines[i][1:]
+            if len(entries) != count:
+                raise ValueError(f"{label!r} line needs {count} entries, got {lines[i]}")
+            i += 1
+            return entries
+
+        if not lines or lines[0][:1] != ["q"]:
             raise ValueError("expected 'q' header")
-        q = int(lines[i][1])
-        i += 1
-        a_vals = [int(v) for v in lines[i][1:]]
-        b_vals = [int(v) for v in lines[i + 1][1:]]
+        q = int(take("q", 1)[0])
+        a_vals = [int(v) for v in take("A", 6)]
+        b_vals = [int(v) for v in take("B", 6)]
         a = tuple(tuple(a_vals[r * 2 : r * 2 + 2]) for r in range(3))
         b = tuple(tuple(b_vals[r * 2 : r * 2 + 2]) for r in range(3))
-        i += 2
         plans = {}
         while i < len(lines):
-            if lines[i][0] != "plan":
-                raise ValueError(f"expected 'plan', got {lines[i]}")
-            failed = int(lines[i][1])
-            partner = None if lines[i][3] == "-" else int(lines[i][3])
-            i += 1
+            failed_text, keyword, partner_text = take("plan", 3)
+            if keyword != "partner":
+                raise ValueError(f"expected 'partner' in plan line, got {keyword!r}")
+            failed = int(failed_text)
+            partner = None if partner_text == "-" else int(partner_text)
             helpers = []
             coefficients = {}
-            while lines[i][0] == "coeff":
-                h = int(lines[i][1])
+            while i < len(lines) and lines[i][:1] == ["coeff"]:
+                h, c1, c2 = (int(v) for v in take("coeff", 3))
                 helpers.append(h)
-                coefficients[h] = (int(lines[i][2]), int(lines[i][3]))
-                i += 1
-            vals = [int(v) for v in lines[i][1:]]
-            width = len(vals) // 2
+                coefficients[h] = (c1, c2)
+            width = (2 if partner is not None else 0) + len(helpers)
+            vals = [int(v) for v in take("decode", 2 * width)]
             decode = tuple(tuple(vals[r * width : (r + 1) * width]) for r in range(2))
-            i += 1
             plans[failed] = RepairPlan(
                 failed=failed,
                 partner=partner,
@@ -382,6 +393,58 @@ def _solve_decode(inst: CodeInstance, plan: RepairPlan) -> Matrix | None:
     return tuple(tuple(x[r][c] for r in range(len(rows))) for c in range(2))
 
 
+def _interference(
+    inst: CodeInstance, failed: int, partner: int, helpers: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """(bx_h, by_h) per helper of a cluster repair: the x and y columns of
+    h read by the functionals phi_x = X_p x X_f and phi_y = Y_p x Y_f,
+    which vanish on the partner's and the failed node's own columns."""
+    q = inst.q
+
+    def cross(u: list[int], v: list[int]) -> tuple[int, int, int]:
+        return (
+            (u[1] * v[2] - u[2] * v[1]) % q,
+            (u[2] * v[0] - u[0] * v[2]) % q,
+            (u[0] * v[1] - u[1] * v[0]) % q,
+        )
+
+    phi_x = cross(inst.x_column(partner), inst.x_column(failed))
+    phi_y = cross(inst.y_column(partner), inst.y_column(failed))
+    return tuple(
+        (
+            sum(f * v for f, v in zip(phi_x, inst.x_column(h))) % q,
+            sum(f * v for f, v in zip(phi_y, inst.y_column(h))) % q,
+        )
+        for h in helpers
+    )
+
+
+def _may_align(
+    interference: tuple[tuple[int, int], ...],
+    coefficients: tuple[tuple[int, int], ...],
+    q: int,
+) -> bool:
+    """Necessary condition for a cluster repair to decode (MDS instance):
+    the vectors w_h = (c1_h * bx_h, c2_h * by_h) have rank at most 1, i.e.
+    all three 2x2 minors vanish mod q.
+
+    Modulo the partner's two downloads the targets span a plane T, and
+    (bx, by) is the coordinate of a helper's functional modulo T, so the
+    helpers' span G meets T in rank(G) - rank(w) dimensions; T lies in G
+    only if that is 2, which needs rank(w) = rank(G) - 2 <= 1.
+    """
+    (b1x, b1y), (b2x, b2y), (b3x, b3y) = interference
+    (c11, c12), (c21, c22), (c31, c32) = coefficients
+    u1, v1 = c11 * b1x, c12 * b1y
+    u2, v2 = c21 * b2x, c22 * b2y
+    u3, v3 = c31 * b3x, c32 * b3y
+    return (
+        (u1 * v2 - v1 * u2) % q == 0
+        and (u1 * v3 - v1 * u3) % q == 0
+        and (u2 * v3 - v2 * u3) % q == 0
+    )
+
+
 def _cluster_info(failed: int) -> tuple[int, tuple[int, ...]]:
     """(partner, cross helpers) for a cluster-node failure."""
     for cluster in CLUSTERS:
@@ -497,14 +560,16 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
 
     for failed in (1, 2, 4, 5):
         partner, helpers = _cluster_info(failed)
+        interference = _interference(inst, failed, partner, helpers)
         found = None
         for _ in range(400):
-            coefficients = {}
-            for h in helpers:
-                c1, c2 = rng.randrange(q), rng.randrange(q)
-                if c1 == 0 and c2 == 0:
-                    c1 = 1
-                coefficients[h] = (c1, c2)
+            drawn = tuple((rng.randrange(q), rng.randrange(q)) for _h in helpers)
+            drawn = tuple((1, 0) if pair == (0, 0) else pair for pair in drawn)
+            # every draw is made before the filter, so the rng stream and
+            # hence the accepted instance do not depend on it
+            if not _may_align(interference, drawn, q):
+                continue
+            coefficients = dict(zip(helpers, drawn))
             candidate = RepairPlan(
                 failed=failed,
                 partner=partner,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 from operator import itemgetter
 
@@ -27,7 +28,7 @@ from .capacity import (
     system_capacity,
     weight_values,
 )
-from .mincut import _coefficient, _scaled_cut, incoming_coefficients, mincut
+from .mincut import _coefficient, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -421,13 +422,66 @@ def sweep_configs(
     return out
 
 
-def _check_lemma1(cfg: SystemConfig):
+class _EvaluationContext:
+    """What the claim checkers of one config share, each computed at most
+    once, when a checker first reads it.
+
+    A context serves one config only: `verify_claims` makes a fresh one per
+    config, so nothing is remembered across configs or calls.  `mincut`,
+    `mincut_by_location` and `system_capacity` are looked up in this module
+    when first read, so a substitute put there is what the checkers see.
+    """
+
+    def __init__(self, cfg: SystemConfig) -> None:
+        self.cfg = cfg
+
+    @cached_property
+    def instance(self) -> str:
+        return self.cfg.describe()
+
+    @cached_property
+    def scaled(self) -> tuple[int, int, int, int]:
+        """_scaled_bandwidths(cfg): (scale, alpha, beta_intra, beta_cross)."""
+        return _scaled_bandwidths(self.cfg)
+
+    @cached_property
+    def distributions(self) -> list[SelectedNodeDistribution]:
+        return enumerate_distributions(self.cfg.nodes)
+
+    @cached_property
+    def all_cluster(self) -> list[SelectedNodeDistribution]:
+        """The distributions that select no separate node."""
+        return [dist for dist in self.distributions if dist.separate == 0]
+
+    @cached_property
+    def one_separate(self) -> list[SelectedNodeDistribution]:
+        """The distributions that select exactly one separate node."""
+        return [dist for dist in self.distributions if dist.separate == 1]
+
+    @cached_property
+    def vertical_cuts(self) -> dict[SelectedNodeDistribution, Fraction]:
+        """Min-cut of the vertical order of each all-cluster distribution."""
+        none = SeparatePositions.none()
+        return {
+            dist: mincut(self.cfg, vertical_order(dist, none)).value
+            for dist in self.all_cluster
+        }
+
+    @cached_property
+    def by_location(self) -> list[Fraction]:
+        """mincut_by_location(cfg, j) for j = 1..k."""
+        return [mincut_by_location(self.cfg, j) for j in range(1, self.cfg.nodes.k + 1)]
+
+    @cached_property
+    def capacity(self) -> Fraction:
+        return system_capacity(self.cfg)
+
+
+def _check_lemma1(ctx: _EvaluationContext):
     """The multiset of intra coefficients is the same for every repair
     sequence of a fixed all-cluster distribution."""
-    rp = cfg.repair
-    for dist in enumerate_distributions(cfg.nodes):
-        if dist.separate != 0:
-            continue
+    rp = ctx.cfg.repair
+    for dist in ctx.all_cluster:
         reference = None
         for coeffs, labels in _kernel_py.distribution_profiles(
             dist.separate, dist.clusters, rp.d_intra, rp.d_cross
@@ -440,11 +494,11 @@ def _check_lemma1(cfg: SystemConfig):
     return True, None
 
 
-def _check_lemma2(cfg: SystemConfig):
+def _check_lemma2(ctx: _EvaluationContext):
     """Along the constructed optimal sequence the coefficient pairs sum to
     d + 1 - i at every position."""
-    rp = cfg.repair
-    _, order = capacity_achiever(cfg)
+    rp = ctx.cfg.repair
+    _, order = capacity_achiever(ctx.cfg)
     coeffs = incoming_coefficients(rp.d_intra, rp.d_cross, order)
     for i, (a, b, _) in enumerate(coeffs, start=1):
         if a + b != rp.d + 1 - i:
@@ -452,15 +506,12 @@ def _check_lemma2(cfg: SystemConfig):
     return True, None
 
 
-def _check_prop1(cfg: SystemConfig):
+def _check_prop1(ctx: _EvaluationContext):
     """The vertical order minimizes the min-cut within each all-cluster
     distribution."""
-    rp = cfg.repair
-    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
-    for dist in enumerate_distributions(cfg.nodes):
-        if dist.separate != 0:
-            continue
-        constructed = mincut(cfg, vertical_order(dist, SeparatePositions.none())).value
+    rp = ctx.cfg.repair
+    scale, alpha, beta_i, beta_c = ctx.scaled
+    for dist, constructed in ctx.vertical_cuts.items():
         value, labels = min(
             _kernel_py.profile_cuts(
                 dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
@@ -474,85 +525,79 @@ def _check_prop1(cfg: SystemConfig):
     return True, None
 
 
-def _check_prop2(cfg: SystemConfig):
+def _check_prop2(ctx: _EvaluationContext):
     """The horizontal selection minimizes over all-cluster distributions
     once each uses its vertical order."""
-    nd = cfg.nodes
+    nd = ctx.cfg.nodes
     if nd.k > nd.L * nd.R:
         return True, None  # no all-cluster selection exists
     star = horizontal_selection(nd, 0)
-    scale, _, best, _ = _scaled_cut(cfg, vertical_order(star, SeparatePositions.none()))
-    for dist in enumerate_distributions(nd):
-        if dist.separate != 0:
-            continue
-        value = _scaled_cut(cfg, vertical_order(dist, SeparatePositions.none()))[2]
+    cuts = ctx.vertical_cuts
+    best = cuts[star]
+    for dist, value in cuts.items():
         if value < best:
-            return False, (
-                f"s={dist} gives {Fraction(value, scale)} < {Fraction(best, scale)} "
-                f"at s*={star}"
-            )
+            return False, f"s={dist} gives {value} < {best} at s*={star}"
     return True, None
 
 
-def _check_thm1(cfg: SystemConfig):
+def _check_thm1(ctx: _EvaluationContext):
     """With the separate node pinned at location j, the constructed
     sequence minimizes over all one-separate selections and orders."""
-    nd, rp = cfg.nodes, cfg.repair
+    nd, rp = ctx.cfg.nodes, ctx.cfg.repair
     if nd.E < 1 or nd.k - 1 > nd.L * nd.R:
         return True, None
-    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
-    by_location = {j: mincut_by_location(cfg, j) for j in range(1, nd.k + 1)}
+    scale, alpha, beta_i, beta_c = ctx.scaled
+    by_location = ctx.by_location
     # an integer cut is below a bound iff it is below the bound's ceiling
-    scaled = {j: ceil(bound * scale) for j, bound in by_location.items()}
-    for dist in enumerate_distributions(nd):
-        if dist.separate != 1:
-            continue
+    scaled = [ceil(bound * scale) for bound in by_location]
+    for dist in ctx.one_separate:
         for value, labels in _kernel_py.profile_cuts(
             dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
         ):
-            j = labels.index(0) + 1
+            j = labels.index(0)
             if value < scaled[j]:
                 return False, (
-                    f"s={dist} order={labels} separate at {j}: "
+                    f"s={dist} order={labels} separate at {j + 1}: "
                     f"{Fraction(value, scale)} < constructed {by_location[j]}"
                 )
     return True, None
 
 
-def _check_thm2(cfg: SystemConfig):
+def _check_thm2(ctx: _EvaluationContext):
     """Min-cut of the constructed sequence is non-increasing in the
     separate node's location."""
-    nd = cfg.nodes
+    nd = ctx.cfg.nodes
     if nd.E < 1 or nd.k - 1 > nd.L * nd.R:
         return True, None
-    values = [mincut_by_location(cfg, j) for j in range(1, nd.k + 1)]
+    values = ctx.by_location
     for j, (x, y) in enumerate(zip(values, values[1:]), start=1):
         if x < y:
             return False, f"MC at j={j} is {x} < MC at j={j + 1} = {y}"
     return True, None
 
 
-def _check_thm3(cfg: SystemConfig):
+def _check_thm3(ctx: _EvaluationContext):
     """Separate node last equals the closed-form capacity (E=1)."""
-    nd = cfg.nodes
+    nd = ctx.cfg.nodes
     if nd.E != 1 or nd.k - 1 > nd.L * nd.R:
         return True, None
-    last = mincut_by_location(cfg, nd.k)
-    closed = system_capacity(cfg)
+    last = ctx.by_location[-1]
+    closed = ctx.capacity
     if last != closed:
         return False, f"MC at j=k is {last} but closed form gives {closed}"
     return True, None
 
 
-def _check_thm4(cfg: SystemConfig):
+def _check_thm4(ctx: _EvaluationContext):
     """Adding one separate node at uncapped alpha keeps capacity iff R
     divides k (strict reduction needs beta_intra > beta_cross)."""
-    nd, rp = cfg.nodes, cfg.repair
+    nd, rp = ctx.cfg.nodes, ctx.cfg.repair
     if nd.E != 0:
         return True, None
-    values = cluster_weight_values(nd.k, nd.R, rp.d_cross, rp.beta_intra, rp.beta_cross)
+    scale, _, beta_i, beta_c = ctx.scaled
+    values = cluster_weight_values(nd.k, nd.R, rp.d_cross, beta_i, beta_c)
     uncapped = RepairParams(
-        alpha=sum(values, start=Fraction(0)) + 1,
+        alpha=Fraction(sum(values), scale) + 1,
         d_intra=rp.d_intra,
         beta_intra=rp.beta_intra,
         d_cross=rp.d_cross,
@@ -570,10 +615,10 @@ def _check_thm4(cfg: SystemConfig):
     return True, None
 
 
-def _check_closed_vs_search(cfg: SystemConfig):
+def _check_closed_vs_search(ctx: _EvaluationContext):
     """Closed-form capacity equals the exhaustive minimum."""
-    closed = system_capacity(cfg)
-    found = brute_force_capacity(cfg)
+    closed = ctx.capacity
+    found = brute_force_capacity(ctx.cfg)
     if closed != found.value:
         return False, (
             f"closed form {closed} != search {found.value} at "
@@ -634,11 +679,12 @@ def verify_claims(family: str | VerificationFamily) -> list[VerificationReport]:
             ) from None
     reports = []
     for cfg in family.configs:
+        ctx = _EvaluationContext(cfg)
         for claim in family.claims:
-            passed, counter = _CHECKERS[claim](cfg)
+            passed, counter = _CHECKERS[claim](ctx)
             reports.append(
                 VerificationReport(
-                    instance=cfg.describe(),
+                    instance=ctx.instance,
                     claim=claim,
                     passed=passed,
                     counterexample=counter,

@@ -333,3 +333,31 @@ def test_weight_sequence_sortedness_and_minimum(L, R, E, k, data):
         # fewer selections than one cluster: the last repair still keeps
         # R-k intra helpers, so the minimum weight retains a beta_intra part
         assert ws.values[0] == (R - k) * beta_intra + d_cross * beta_cross
+
+
+@pytest.mark.parametrize("E", [0, 1, 2, 3, 4])
+def test_integer_capacity_equals_fraction_sum(E):
+    """system_capacity sums on scaled integers; it equals the Fraction sum
+    of min(alpha, w) over weight_values at every breakpoint and beyond
+    saturation, on bandwidths scaled by 2/7."""
+    scale = Fraction(2, 7)
+    checked = 0
+    for L, R in ((2, 2), (2, 3), (3, 2)):
+        n = L * R + E
+        for k in range(1, n):
+            if k - min(E, k) > L * R:
+                continue
+            for d_cross in range(max(0, k - R + 1), n - R + 1):
+                for bi, bc in ((1, 1), (2, 1), (3, 2)):
+                    beta_i, beta_c = bi * scale, bc * scale
+                    values = weight_values(k, E, R, d_cross, beta_i, beta_c)
+                    saturated = sum(values, start=Fraction(0))
+                    for alpha in sorted({Fraction(0), *values, saturated, saturated + scale}):
+                        config = validate_config(
+                            n=n, k=k, L=L, R=R, E=E, d_cross=d_cross,
+                            beta_intra=beta_i, beta_cross=beta_c, alpha=alpha,
+                        )
+                        expected = sum((min(alpha, w) for w in values), start=Fraction(0))
+                        assert system_capacity(config) == expected
+                        checked += 1
+    assert checked > 100

@@ -324,6 +324,51 @@ def test_verify_small_sweep_family(tmp_path, capsys):
     assert payload["total"] > 50_000
 
 
+def _verify_payload(family, reports):
+    return {
+        "family": family,
+        "total": len(reports),
+        "failed": sum(not r.passed for r in reports),
+        "reports": [
+            {"instance": r.instance, "claim": r.claim, "passed": r.passed,
+             "counterexample": r.counterexample}
+            for r in reports
+        ],
+    }
+
+
+def test_verify_output_is_indented_json(capsys):
+    from clustercap.oracle import verify_claims
+
+    code, out, err = run(capsys, "verify", "--family", "tiny")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_verify_payload("tiny", verify_claims("tiny")), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_verify_output_escapes_like_json_dumps(monkeypatch, capsys, count):
+    from clustercap import oracle
+
+    odd = ['say "no"', "back\\slash", "two\nlines\ttab", "caf\u00e9 \u2264 \U0001d6fc", "\x00"]
+    reports = [
+        oracle.VerificationReport(
+            instance=f"n={i} {odd[i % len(odd)]}",
+            claim=odd[(i + 1) % len(odd)],
+            passed=i == 1,
+            counterexample=None if i == 1 else odd[(i + 2) % len(odd)],
+        )
+        for i in range(count)
+    ]
+    monkeypatch.setattr(oracle, "verify_claims", lambda family: reports)
+    code, out, err = run(capsys, "verify", "--family", 'x"\u00e9')
+    assert out == json.dumps(_verify_payload('x"\u00e9', reports), indent=2) + "\n"
+    failed = [r for r in reports if not r.passed]
+    assert code == (1 if failed else 0)
+    assert err == "".join(
+        f"FAIL {r.claim} @ {r.instance}: {r.counterexample}\n" for r in failed
+    )
+
+
 def test_verify_unknown_family_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--family", "nope")
     assert code == 2

@@ -1,9 +1,12 @@
 """Finite-field code construction tests: MDS collection, aligned repair,
 rank conditions, bandwidth accounting, and the search harness."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clustercap.codes import (
     ALL_NODES,
@@ -14,6 +17,11 @@ from clustercap.codes import (
     RepairPlan,
     SearchExhausted,
     SingularSystem,
+    _cluster_info,
+    _interference,
+    _may_align,
+    _mds_ok,
+    _solve_decode,
     check_rank_conditions,
     data_collect,
     encode,
@@ -230,3 +238,95 @@ def test_serialization_roundtrip_and_stability(inst):
 
 def test_verify_instance_passes(inst):
     verify_instance(inst)
+
+
+# SHA-256 of to_text() per (q, seed), recorded before the alignment filter
+# went in front of the decode solver: the filter must not change any
+# accepted instance
+CONSTRUCTION_DIGESTS = {
+    (13, 0): "476ed099a09e0989daf29d84b4527fc12c43273d35f249a7ad131ffcfbdd5f21",
+    (13, 1): "397b072151a8dde11890a494677499b613751d42c359cadf7f0006434a45fd18",
+    (13, 2): "e74c775375e8d979c5fcb811fd713610d0a78b36e3e3fd113c5dcfd492ab3ed4",
+    (13, 3): "ba906e5e168046273718538adc21065ac46f17056e7199709017de78c7b96ee7",
+    (13, 4): "1616af9e8d5348c04f5446048d871ec5f39a49b6031e7e42ee13d9f28f5a6bc5",
+    (13, 5): "41f260e9a6d7e4d484c9070526cefe682c6e044393ab4d628f53589fe814fa18",
+    (13, 339569): "d635a15625136df0855268866fc7571f9366ed4b5dd9886982389d3cdf113cb5",
+    (7, 0): "8d21847bd1c41d7cd0de80d26eddb63be40575e68c6959982f4b08b99115ec82",
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(CONSTRUCTION_DIGESTS))
+def test_search_output_is_pinned(q, seed):
+    text = search_construction(q, seed=seed).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_DIGESTS[q, seed]
+
+
+_NONZERO_PAIRS = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+                          min_size=3, max_size=3)
+
+
+@given(
+    q=st.sampled_from((7, 11, 13, 17)),
+    a=_NONZERO_PAIRS,
+    b=_NONZERO_PAIRS,
+    draws=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_alignment_filter_rejects_only_undecodable_candidates(q, a, b, draws, seed):
+    """Differential check of the necessary condition against the exact
+    solver: whatever the filter rejects, _solve_decode cannot decode."""
+    a = tuple((x % (q - 1) + 1, y % (q - 1) + 1) for x, y in a)
+    b = tuple((x % (q - 1) + 1, y % (q - 1) + 1) for x, y in b)
+    inst = CodeInstance(q=q, a=a, b=b, plans={})
+    assume(_mds_ok(inst))
+    rng = random.Random(seed)
+    for failed in (1, 2, 4, 5):
+        partner, helpers = _cluster_info(failed)
+        interference = _interference(inst, failed, partner, helpers)
+        # one candidate from the drawn values, then random ones as the
+        # search draws them (an all-zero pair is bumped to (1, 0))
+        candidates = [tuple((draws[2 * t] % q, draws[2 * t + 1] % q) for t in range(3))]
+        candidates += [
+            tuple((rng.randrange(q), rng.randrange(q)) for _ in helpers) for _ in range(20)
+        ]
+        for drawn in candidates:
+            drawn = tuple((1, 0) if pair == (0, 0) else pair for pair in drawn)
+            if _may_align(interference, drawn, q):
+                continue
+            plan = RepairPlan(failed, partner, helpers, dict(zip(helpers, drawn)), ((0,),))
+            assert _solve_decode(inst, plan) is None, (failed, drawn)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "q 13", "q 13\nA 1 2 3 4 5 6"],
+                         ids=["empty", "blank", "header-only", "no-B-row"])
+def test_from_text_rejects_truncated_text(text):
+    with pytest.raises(ValueError):
+        CodeInstance.from_text(text)
+
+
+def test_from_text_rejects_truncated_plan(inst):
+    lines = inst.to_text().splitlines()
+    for cut in range(4, len(lines)):
+        if lines[cut - 1].startswith("decode"):
+            continue  # a text ending after a whole plan is a valid instance
+        with pytest.raises(ValueError):
+            CodeInstance.from_text("\n".join(lines[:cut]))
+
+
+def test_from_text_rejects_short_matrix_rows(inst):
+    lines = inst.to_text().splitlines()
+    for row in (1, 2):
+        bad = lines[:row] + [lines[row][0] + " 1 2"] + lines[row + 1 :]
+        with pytest.raises(ValueError, match="6 entries"):
+            CodeInstance.from_text("\n".join(bad))
+
+
+def test_from_text_rejects_wrong_decode_width(inst):
+    text = inst.to_text()
+    plan = inst.plans[1]
+    decode = "decode " + " ".join(str(v) for row in plan.decode for v in row)
+    assert decode in text
+    for bad in (decode.rsplit(" ", 1)[0], decode + " 0"):
+        with pytest.raises(ValueError, match=f"{2 * plan.download_count} entries"):
+            CodeInstance.from_text(text.replace(decode, bad, 1))

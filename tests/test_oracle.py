@@ -382,6 +382,31 @@ def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
     assert not report.passed
 
 
+def _families_for_context_check():
+    tiny = oracle.FAMILIES["tiny"]().configs
+    return {
+        "tiny": tiny,
+        "tiny-2/7": tuple(_scaled_config(c, Fraction(2, 7)) for c in tiny),
+        "tiny-E23": tuple(dict.fromkeys(_with_separate(c, E) for E in (2, 3) for c in tiny)),
+    }
+
+
+@pytest.mark.parametrize("name", ["tiny", "tiny-2/7", "tiny-E23"])
+def test_shared_context_matches_each_checker_alone(name):
+    """verify_claims shares one evaluation context among the claims of a
+    config; each checker run alone on a fresh context reports the same."""
+    configs = _families_for_context_check()[name]
+    family = VerificationFamily(name=name, configs=configs, claims=oracle.ALL_CLAIMS)
+    alone = [
+        oracle.VerificationReport(
+            c.describe(), claim, *oracle._CHECKERS[claim](oracle._EvaluationContext(c))
+        )
+        for c in configs
+        for claim in oracle.ALL_CLAIMS
+    ]
+    assert verify_claims(family) == alone
+
+
 def test_verify_claims_unknown_family():
     with pytest.raises(ValueError):
         verify_claims("nope")
