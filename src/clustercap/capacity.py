@@ -26,6 +26,7 @@ from .model import (
     Record,
     RepairParams,
     SystemConfig,
+    _check_d_cross,
     _scaled_bandwidths,
     parse_rational,
 )
@@ -291,9 +292,7 @@ def tradeoff_curve(
     if tau < 1:
         raise ConfigError(f"tau={tau} must be >= 1 (intra at least as wide as cross)")
     variant = _variant_for(nodes)
-    lo, hi = nodes.k - nodes.R + 1, nodes.n - nodes.R
-    if d_cross < 0 or not lo <= d_cross <= hi:
-        raise ConfigError(f"d_cross={d_cross} outside [{lo}, {hi}]")
+    _check_d_cross(nodes, d_cross)
     for beta_cross in grid:
         if beta_cross <= 0:
             raise ConfigError(f"grid value {beta_cross} must be positive")

@@ -54,13 +54,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _add_node_flags(parser: argparse.ArgumentParser, with_e: bool = True) -> None:
+def _add_node_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="total node count (L*R+E)")
     parser.add_argument("--k", type=int, help="reconstruction threshold")
     parser.add_argument("--L", type=int, help="cluster count")
     parser.add_argument("--R", type=int, help="nodes per cluster")
-    if with_e:
-        parser.add_argument("--E", type=int, help="separate node count")
+    parser.add_argument("--E", type=int, help="separate node count")
     parser.add_argument("--dI", type=int, default=None, help="intra-cluster helpers (default R-1)")
     parser.add_argument("--dC", type=int, help="cross-cluster helpers")
     parser.add_argument("--betaI", help="symbols per intra-cluster helper (rational)")

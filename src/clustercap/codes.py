@@ -297,18 +297,22 @@ def _functional(inst: CodeInstance, node: int, c1: int, c2: int) -> list[int]:
     return [c1 * v % inst.q for v in xcol] + [c2 * v % inst.q for v in ycol]
 
 
-def _plan_matrices(inst: CodeInstance, plan: RepairPlan) -> tuple[list[list[int]], list[list[int]]]:
-    """(download functionals, target functionals) for a repair plan."""
+def _plan_matrices(
+    inst: CodeInstance, failed: int, partner: int | None, helpers: tuple[int, ...],
+    coefficients: dict[int, tuple[int, int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(download functionals, target functionals) of a repair: the
+    partner's two symbols, then one row per helper in `helpers` order."""
     rows: list[list[int]] = []
-    if plan.partner is not None:
-        rows.append(_functional(inst, plan.partner, 1, 0))
-        rows.append(_functional(inst, plan.partner, 0, 1))
-    for h in plan.helpers:
-        c1, c2 = plan.coefficients[h]
+    if partner is not None:
+        rows.append(_functional(inst, partner, 1, 0))
+        rows.append(_functional(inst, partner, 0, 1))
+    for h in helpers:
+        c1, c2 = coefficients[h]
         rows.append(_functional(inst, h, c1, c2))
     targets = [
-        _functional(inst, plan.failed, 1, 0),
-        _functional(inst, plan.failed, 0, 1),
+        _functional(inst, failed, 1, 0),
+        _functional(inst, failed, 0, 1),
     ]
     return rows, targets
 
@@ -325,7 +329,7 @@ def repair(failed: int, inst: CodeInstance, surviving: list[NodeContents]) -> No
         raise ValueError(f"no repair plan for node {failed}")
     field = inst.field()
     q = inst.q
-    rows, targets = _plan_matrices(inst, plan)
+    rows, targets = _plan_matrices(inst, plan.failed, plan.partner, plan.helpers, plan.coefficients)
     for t_row, d_row in zip(targets, plan.decode):
         got = [sum(d * rows[j][col] for j, d in enumerate(d_row)) % q for col in range(6)]
         if got != t_row:
@@ -380,10 +384,13 @@ def _mds_ok(inst: CodeInstance) -> bool:
     return True
 
 
-def _solve_decode(inst: CodeInstance, plan: RepairPlan) -> Matrix | None:
+def _solve_decode(
+    inst: CodeInstance, failed: int, partner: int | None, helpers: tuple[int, ...],
+    coefficients: dict[int, tuple[int, int]],
+) -> Matrix | None:
     """Decode matrix D with D @ downloads = targets, or None."""
     field = inst.field()
-    rows, targets = _plan_matrices(inst, plan)
+    rows, targets = _plan_matrices(inst, failed, partner, helpers, coefficients)
     # transpose: rows^T (6 x r) @ D^T = targets^T (6 x 2)
     rows_t = [[rows[r][c] for r in range(len(rows))] for c in range(6)]
     targets_t = [[targets[r][c] for r in range(2)] for c in range(6)]
@@ -539,29 +546,21 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
     c41, c42, lam, rho, sigma = nz(), nz(), nz(), nz(), nz()
     c51 = lam * c41 * a11 * field.inv(a12) % q
     c52 = lam * c42 * b11 * field.inv(b12) % q
-    plan3 = RepairPlan(
-        failed=SEPARATE_NODE,
-        partner=None,
-        helpers=(1, 2, 4, 5),
-        coefficients={
-            1: (rho * c41 * a11 % q, rho * c42 * b11 % q),
-            2: (sigma * c41 * a21 % q, sigma * c42 * b21 % q),
-            4: (c41, c42),
-            5: (c51, c52),
-        },
-        decode=((0,),),
-    )
-    decode = _solve_decode(inst, plan3)
+    helpers = (1, 2, 4, 5)
+    coefficients = {
+        1: (rho * c41 * a11 % q, rho * c42 * b11 % q),
+        2: (sigma * c41 * a21 % q, sigma * c42 * b21 % q),
+        4: (c41, c42),
+        5: (c51, c52),
+    }
+    decode = _solve_decode(inst, SEPARATE_NODE, None, helpers, coefficients)
     if decode is None:
         return None
-    plans[SEPARATE_NODE] = RepairPlan(
-        SEPARATE_NODE, None, plan3.helpers, plan3.coefficients, decode
-    )
+    plans[SEPARATE_NODE] = RepairPlan(SEPARATE_NODE, None, helpers, coefficients, decode)
 
     for failed in (1, 2, 4, 5):
         partner, helpers = _cluster_info(failed)
         interference = _interference(inst, failed, partner, helpers)
-        found = None
         for _ in range(400):
             drawn = tuple((rng.randrange(q), rng.randrange(q)) for _h in helpers)
             drawn = tuple((1, 0) if pair == (0, 0) else pair for pair in drawn)
@@ -570,19 +569,11 @@ def _attempt(q: int, rng: random.Random) -> CodeInstance | None:
             if not _may_align(interference, drawn, q):
                 continue
             coefficients = dict(zip(helpers, drawn))
-            candidate = RepairPlan(
-                failed=failed,
-                partner=partner,
-                helpers=helpers,
-                coefficients=coefficients,
-                decode=((0,),),
-            )
-            decode = _solve_decode(inst, candidate)
+            decode = _solve_decode(inst, failed, partner, helpers, coefficients)
             if decode is not None:
-                found = RepairPlan(failed, partner, helpers, coefficients, decode)
+                plans[failed] = RepairPlan(failed, partner, helpers, coefficients, decode)
                 break
-        if found is None:
+        else:
             return None
-        plans[failed] = found
 
     return CodeInstance(q=q, a=a, b=b, plans=plans)

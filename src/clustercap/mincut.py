@@ -89,13 +89,22 @@ def incoming_coefficients(
 
 
 def _check_order(cfg: SystemConfig, order: ClusterOrder) -> None:
+    """Raise ValueError unless `order` is a repair sequence of `cfg`: k
+    entries, cluster labels at most L, at most R nodes of each cluster and
+    at most E separate nodes."""
     nd = cfg.nodes
     if order.k != nd.k:
         raise ValueError(f"order has {order.k} entries, config has k={nd.k}")
-    if any(x > nd.L for x in order.labels):
-        raise ValueError(f"cluster label exceeds L={nd.L} in {order}")
-    if nd.E == 0 and any(x == 0 for x in order.labels):
-        raise ValueError("separate entry in order but E=0")
+    seen: dict[int, int] = {}
+    for label in order.labels:
+        h = seen[label] = seen.get(label, 0) + 1
+        if label == 0:
+            if h > nd.E:
+                raise ValueError(f"order selects {h} separate nodes but E={nd.E}")
+        elif label > nd.L:
+            raise ValueError(f"cluster label exceeds L={nd.L} in {order}")
+        elif h > nd.R:
+            raise ValueError(f"order selects {h} nodes from cluster {label} but R={nd.R}")
 
 
 def part_incoming_weights(cfg: SystemConfig, order: ClusterOrder) -> WeightVector:

@@ -43,7 +43,7 @@ class BandwidthOrder(ConfigError):
 
 
 class DCRange(ConfigError):
-    """d_cross outside [k - R + 1, n - R]."""
+    """d_cross outside [max(0, k - R + 1), n - R]."""
 
 
 class Infeasible(ConfigError):
@@ -191,6 +191,13 @@ class RepairParams(Record):
         return self.d * self.beta_cross
 
 
+def _check_d_cross(nodes: NodeParams, d_cross: int) -> None:
+    """Raise DCRange unless max(0, k-R+1) <= d_cross <= n-R."""
+    lo, hi = max(0, nodes.k - nodes.R + 1), nodes.n - nodes.R
+    if not lo <= d_cross <= hi:
+        raise DCRange(f"d_cross={d_cross} outside [{lo}, {hi}]")
+
+
 class SystemConfig(Record):
     """A fully validated system: node layout plus repair parameters."""
 
@@ -202,9 +209,7 @@ class SystemConfig(Record):
         nd, rp = nodes, repair
         if rp.d_intra != nd.R - 1:
             raise DInvalid(f"d_intra={rp.d_intra} but must equal R-1={nd.R - 1}")
-        lo, hi = nd.k - nd.R + 1, nd.n - nd.R
-        if rp.d_cross < 0 or not lo <= rp.d_cross <= hi:
-            raise DCRange(f"d_cross={rp.d_cross} outside [{lo}, {hi}]")
+        _check_d_cross(nd, rp.d_cross)
 
     @property
     def k(self) -> int:

@@ -28,7 +28,7 @@ from .capacity import (
     system_capacity,
     weight_values,
 )
-from .mincut import _coefficient, incoming_coefficients, mincut
+from .mincut import _check_order, _coefficient, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -72,30 +72,7 @@ def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> Bru
     minimizer when distributions are scanned in enumeration order and
     sequences in lexicographic order with the separate label sorting last.
     """
-    dists = enumerate_distributions(cfg.nodes)
-    size = sum(order_count(d) for d in dists)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
-    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
-    rp = cfg.repair
-    # min keeps the first of equal keys: the first minimizer in scan order
-    value, order, dist = min(
-        (
-            min(
-                _kernel_py.profile_cuts(
-                    dist.separate, dist.clusters, rp.d_intra, rp.d_cross,
-                    alpha, beta_i, beta_c,
-                ),
-                key=itemgetter(0),
-            )
-            + (dist,)
-            for dist in dists
-        ),
-        key=itemgetter(0),
-    )
-    return BruteForceResult(
-        value=Fraction(value, scale), distribution=dist, order=ClusterOrder(labels=order)
-    )
+    return _EvaluationContext(cfg, budget).search()
 
 
 def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
@@ -190,9 +167,8 @@ def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
     connects to all previous newcomers first (cross-cluster slots), then
     to still-active original nodes; the collector reads the k newcomers.
     """
+    _check_order(cfg, order)
     nd, rp = cfg.nodes, cfg.repair
-    if order.k != nd.k:
-        raise ValueError(f"order has {order.k} entries, config has k={nd.k}")
     scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
     n, k = nd.n, nd.k
 
@@ -227,13 +203,9 @@ def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
         seen[label] = seen.get(label, 0) + 1
         h = seen[label]
         if label == 0:
-            if h > nd.E:
-                raise ValueError(f"order selects {h} separate nodes but E={nd.E}")
             slot = nd.L * nd.R + (h - 1)
             want = rp.d
         else:
-            if h > nd.R:
-                raise ValueError(f"order selects {h} nodes from cluster {label} but R={nd.R}")
             slot = (label - 1) * nd.R + (h - 1)
             # intra edges: every other current member of the cluster
             for r in range(nd.R):
@@ -361,15 +333,14 @@ class VerificationReport(Record):
 
 
 class VerificationFamily(Record):
-    __slots__ = ("name", "configs", "claims", "seed")
+    __slots__ = ("name", "configs", "claims")
 
     def __init__(
-        self, name: str, configs: tuple[SystemConfig, ...], claims: tuple[str, ...], seed: int = 0
+        self, name: str, configs: tuple[SystemConfig, ...], claims: tuple[str, ...]
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "configs", configs)
         object.__setattr__(self, "claims", claims)
-        object.__setattr__(self, "seed", seed)
 
 
 SWEEP_BETA_PAIRS = ((1, 1), (2, 1), (3, 1), (3, 2))
@@ -391,11 +362,9 @@ def sweep_configs(
     E_values=(0, 1),
     k_max: int = 9,
     beta_pairs=SWEEP_BETA_PAIRS,
-    alpha_values=None,
 ) -> list[SystemConfig]:
     """The standard verification grid: every valid d_cross for each node
-    layout, the listed bandwidth pairs, and per-config alpha boundaries
-    (or a fixed alpha list when `alpha_values` is given)."""
+    layout, the listed bandwidth pairs, and per-config alpha boundaries."""
     out = []
     for L in L_values:
         for R in R_values:
@@ -405,12 +374,7 @@ def sweep_configs(
                     for d_cross in range(max(0, k - R + 1), n - R + 1):
                         for bi, bc in beta_pairs:
                             bi_f, bc_f = Fraction(bi), Fraction(bc)
-                            alphas = (
-                                alpha_values
-                                if alpha_values is not None
-                                else sweep_alpha_values(k, R, E, d_cross, bi_f, bc_f)
-                            )
-                            for alpha in alphas:
+                            for alpha in sweep_alpha_values(k, R, E, d_cross, bi_f, bc_f):
                                 out.append(
                                     validate_config(
                                         n=n, k=k, L=L, R=R, E=E,
@@ -424,7 +388,9 @@ def sweep_configs(
 
 class _EvaluationContext:
     """What the claim checkers of one config share, each computed at most
-    once, when a checker first reads it.
+    once, when a checker first reads it, and the one place the exhaustive
+    search meets a config (under `budget` repair orders, DEFAULT_BUDGET
+    when None).
 
     A context serves one config only: `verify_claims` makes a fresh one per
     config, so nothing is remembered across configs or calls.  `mincut`,
@@ -432,8 +398,9 @@ class _EvaluationContext:
     when first read, so a substitute put there is what the checkers see.
     """
 
-    def __init__(self, cfg: SystemConfig) -> None:
+    def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
         self.cfg = cfg
+        self.budget = DEFAULT_BUDGET if budget is None else budget
 
     @cached_property
     def instance(self) -> str:
@@ -446,7 +413,13 @@ class _EvaluationContext:
 
     @cached_property
     def distributions(self) -> list[SelectedNodeDistribution]:
-        return enumerate_distributions(self.cfg.nodes)
+        """Every distribution, in enumeration order, once their repair
+        orders are known to fit the budget."""
+        dists = enumerate_distributions(self.cfg.nodes)
+        size = sum(order_count(d) for d in dists)
+        if size > self.budget:
+            raise BudgetExceeded(size, self.budget)
+        return dists
 
     @cached_property
     def all_cluster(self) -> list[SelectedNodeDistribution]:
@@ -457,6 +430,27 @@ class _EvaluationContext:
     def one_separate(self) -> list[SelectedNodeDistribution]:
         """The distributions that select exactly one separate node."""
         return [dist for dist in self.distributions if dist.separate == 1]
+
+    def cuts(self, dist: SelectedNodeDistribution):
+        """(scaled cut, representative order) of each distinct profile of
+        `dist`, in scan order."""
+        rp = self.cfg.repair
+        _, alpha, beta_i, beta_c = self.scaled
+        return _kernel_py.profile_cuts(
+            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
+        )
+
+    @cached_property
+    def minima(self) -> dict[SelectedNodeDistribution, tuple[int, tuple[int, ...]]]:
+        """Each distribution's first least (scaled cut, order), in
+        enumeration order."""
+        # min keeps the first of equal keys: the first minimizer in scan order
+        return {dist: min(self.cuts(dist), key=itemgetter(0)) for dist in self.distributions}
+
+    def search(self) -> BruteForceResult:
+        """The first least cut over every distribution and order."""
+        dist, (value, order) = min(self.minima.items(), key=lambda item: item[1][0])
+        return BruteForceResult(Fraction(value, self.scaled[0]), dist, ClusterOrder(order))
 
     @cached_property
     def vertical_cuts(self) -> dict[SelectedNodeDistribution, Fraction]:
@@ -469,7 +463,10 @@ class _EvaluationContext:
 
     @cached_property
     def by_location(self) -> list[Fraction]:
-        """mincut_by_location(cfg, j) for j = 1..k."""
+        """mincut_by_location(cfg, j) for j = 1..k; empty when no
+        one-separate selection exists."""
+        if not self.one_separate:
+            return []
         return [mincut_by_location(self.cfg, j) for j in range(1, self.cfg.nodes.k + 1)]
 
     @cached_property
@@ -509,15 +506,10 @@ def _check_lemma2(ctx: _EvaluationContext):
 def _check_prop1(ctx: _EvaluationContext):
     """The vertical order minimizes the min-cut within each all-cluster
     distribution."""
-    rp = ctx.cfg.repair
-    scale, alpha, beta_i, beta_c = ctx.scaled
+    scale = ctx.scaled[0]
+    minima = ctx.minima
     for dist, constructed in ctx.vertical_cuts.items():
-        value, labels = min(
-            _kernel_py.profile_cuts(
-                dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
-            ),
-            key=itemgetter(0),
-        )
+        value, labels = minima[dist]
         if value < constructed * scale:
             return False, (
                 f"s={dist}: order {labels} gives {Fraction(value, scale)} < {constructed}"
@@ -543,17 +535,12 @@ def _check_prop2(ctx: _EvaluationContext):
 def _check_thm1(ctx: _EvaluationContext):
     """With the separate node pinned at location j, the constructed
     sequence minimizes over all one-separate selections and orders."""
-    nd, rp = ctx.cfg.nodes, ctx.cfg.repair
-    if nd.E < 1 or nd.k - 1 > nd.L * nd.R:
-        return True, None
-    scale, alpha, beta_i, beta_c = ctx.scaled
+    scale = ctx.scaled[0]
     by_location = ctx.by_location
     # an integer cut is below a bound iff it is below the bound's ceiling
     scaled = [ceil(bound * scale) for bound in by_location]
     for dist in ctx.one_separate:
-        for value, labels in _kernel_py.profile_cuts(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
-        ):
+        for value, labels in ctx.cuts(dist):
             j = labels.index(0)
             if value < scaled[j]:
                 return False, (
@@ -566,9 +553,6 @@ def _check_thm1(ctx: _EvaluationContext):
 def _check_thm2(ctx: _EvaluationContext):
     """Min-cut of the constructed sequence is non-increasing in the
     separate node's location."""
-    nd = ctx.cfg.nodes
-    if nd.E < 1 or nd.k - 1 > nd.L * nd.R:
-        return True, None
     values = ctx.by_location
     for j, (x, y) in enumerate(zip(values, values[1:]), start=1):
         if x < y:
@@ -578,8 +562,7 @@ def _check_thm2(ctx: _EvaluationContext):
 
 def _check_thm3(ctx: _EvaluationContext):
     """Separate node last equals the closed-form capacity (E=1)."""
-    nd = ctx.cfg.nodes
-    if nd.E != 1 or nd.k - 1 > nd.L * nd.R:
+    if ctx.cfg.nodes.E != 1 or not ctx.by_location:
         return True, None
     last = ctx.by_location[-1]
     closed = ctx.capacity
@@ -618,7 +601,7 @@ def _check_thm4(ctx: _EvaluationContext):
 def _check_closed_vs_search(ctx: _EvaluationContext):
     """Closed-form capacity equals the exhaustive minimum."""
     closed = ctx.capacity
-    found = brute_force_capacity(ctx.cfg)
+    found = ctx.search()
     if closed != found.value:
         return False, (
             f"closed form {closed} != search {found.value} at "

@@ -114,6 +114,20 @@ def test_capacity_invalid_params_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("capacity", ["--betaI", "2", "--betaC", "1", "--alpha", "5"]),
+    ("tradeoff", ["--tau", "2", "--M", "6",
+                  "--grid-start", "1/2", "--grid-stop", "2", "--grid-step", "1/2"]),
+])
+def test_d_cross_range_message_states_enforced_lower_bound(capsys, command, extra):
+    # k - R + 1 = -1 here, yet d_cross may not be negative
+    code, out, err = run(
+        capsys, command, "--n", "8", "--k", "2", "--L", "2", "--R", "4", "--E", "0",
+        "--dC", "-1", *extra,
+    )
+    assert (code, out, err) == (2, "", "error: d_cross=-1 outside [0, 4]\n")
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--betaC"])
 def test_capacity_zero_denominator_exit_2(capsys, flag):
     argv = [

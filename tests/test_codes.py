@@ -294,8 +294,10 @@ def test_alignment_filter_rejects_only_undecodable_candidates(q, a, b, draws, se
             drawn = tuple((1, 0) if pair == (0, 0) else pair for pair in drawn)
             if _may_align(interference, drawn, q):
                 continue
-            plan = RepairPlan(failed, partner, helpers, dict(zip(helpers, drawn)), ((0,),))
-            assert _solve_decode(inst, plan) is None, (failed, drawn)
+            coefficients = dict(zip(helpers, drawn))
+            assert _solve_decode(inst, failed, partner, helpers, coefficients) is None, (
+                failed, drawn,
+            )
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "q 13", "q 13\nA 1 2 3 4 5 6"],

@@ -1,7 +1,11 @@
 """Part-cut weight and min-cut tests, including the structural lemma
 properties the capacity argument relies on."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +26,7 @@ from clustercap.model import (
     enumerate_orders,
     validate_config,
 )
-from clustercap.oracle import sweep_configs
+from clustercap.oracle import build_ifg, sweep_configs
 from clustercap.sequencing import (
     SeparatePositions,
     horizontal_selection,
@@ -229,3 +233,42 @@ def test_mincut_rejects_mismatched_orders():
         mincut(cfg_small(), ClusterOrder((1, 0)))  # E=0
     with pytest.raises(ValueError):
         mincut(cfg_small(), ClusterOrder((1, 3)))  # L=2
+    one_separate = validate_config(
+        n=5, k=3, L=2, R=2, E=1, d_cross=3, beta_intra=2, beta_cross=1, alpha=10
+    )
+    overfull = {
+        (0, 0, 1): "order selects 2 separate nodes but E=1",
+        (1, 1, 1): "order selects 3 nodes from cluster 1 but R=2",
+    }
+    for labels, message in overfull.items():
+        for evaluate in (mincut, part_incoming_weights, build_ifg):
+            with pytest.raises(ValueError, match=message):
+                evaluate(one_separate, ClusterOrder(labels))
+
+
+_OPTIMIZED_PROBE = """
+from clustercap.mincut import mincut, part_incoming_weights
+from clustercap.model import ClusterOrder, validate_config
+from clustercap.oracle import build_ifg
+if __debug__:
+    raise SystemExit("asserts are on")
+cfg = validate_config(n=5, k=3, L=2, R=2, E=1, d_cross=3, beta_intra=2, beta_cross=1, alpha=10)
+for labels in ((0, 0, 1), (1, 1, 1), (1, 3, 1), (1, 1)):
+    for evaluate in (mincut, part_incoming_weights, build_ifg):
+        try:
+            evaluate(cfg, ClusterOrder(labels))
+        except ValueError:
+            continue
+        raise SystemExit(f"{evaluate.__name__} accepted {labels}")
+"""
+
+
+def test_order_rejections_hold_without_asserts():
+    """Under python -O, where assert statements are stripped, every order
+    path still rejects an order that does not fit the config."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 """Exhaustive-search and flow-graph oracle tests."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -426,3 +427,64 @@ def test_sampled_triples_are_reproducible(seed):
     assert [(c.describe(), d, o) for c, d, o in a] == [
         (c.describe(), d, o) for c, d, o in b
     ]
+
+
+def _count_scans(monkeypatch):
+    """Count the distribution enumerations and profile scans the oracle
+    makes from here on."""
+    counts = {"enumerate": 0, "scan": 0}
+    enumerate_, scan = oracle.enumerate_distributions, _kernel_py.profile_cuts
+
+    def counted_enumerate(nodes):
+        counts["enumerate"] += 1
+        return enumerate_(nodes)
+
+    def counted_scan(*args):
+        counts["scan"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "enumerate_distributions", counted_enumerate)
+    monkeypatch.setattr(_kernel_py, "profile_cuts", counted_scan)
+    return counts
+
+
+def test_claims_of_a_config_share_one_search(monkeypatch):
+    """verify_claims enumerates a config's distributions once and scans
+    each once for the search table, plus once more per one-separate
+    distribution for thm1's pinned-location check."""
+    configs = oracle.FAMILIES["tiny"]().configs[::9] + (PLANTED,)
+    assert {c.nodes.E for c in configs} == {0, 1}
+    counts = _count_scans(monkeypatch)
+    for config in configs:
+        dists = enumerate_distributions(config.nodes)
+        one_separate = [d for d in dists if d.separate == 1]
+        counts.update(enumerate=0, scan=0)
+        family = VerificationFamily(name="one", configs=(config,), claims=oracle.ALL_CLAIMS)
+        assert all(r.passed for r in verify_claims(family))
+        assert counts == {"enumerate": 1, "scan": len(dists) + len(one_separate)}
+
+
+def test_budget_is_checked_before_any_scan(monkeypatch):
+    counts = _count_scans(monkeypatch)
+    size = enumeration_size(PLANTED.nodes)
+    with pytest.raises(BudgetExceeded) as err:
+        brute_force_capacity(PLANTED, budget=size - 1)
+    assert (err.value.size, err.value.budget, counts["scan"]) == (size, size - 1, 0)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", size - 1)
+    family = VerificationFamily(name="planted", configs=(PLANTED,), claims=oracle.ALL_CLAIMS)
+    with pytest.raises(BudgetExceeded) as err:
+        verify_claims(family)
+    assert (err.value.size, err.value.budget, counts["scan"]) == (size, size - 1, 0)
+
+
+def test_brute_force_results_are_pinned():
+    """(value, distribution, order) of every 7th sweep config, as the
+    nested per-distribution minimum gave them before the search moved
+    into the evaluation context."""
+    digest = hashlib.sha256()
+    for config in sweep_configs()[::7]:
+        result = brute_force_capacity(config)
+        digest.update(repr((result.value, result.distribution, result.order)).encode())
+    assert digest.hexdigest() == (
+        "7e4ffe348833c9af766e7788cd336e9f55582f46d5ff1734767e5a1691437a29"
+    )

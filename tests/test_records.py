@@ -61,7 +61,7 @@ SAMPLES = {
     BruteForceResult: (F(6), SelectedNodeDistribution(1, (2, 0)), ClusterOrder((1, 1, 0))),
     FlowGraph: (4, ((0, 1, 3), (1, 2, 2), (2, 3, 9)), 0, 3, 1, 9),
     VerificationReport: ("n=5", "thm3-capacity", False, "order (1, 1, 0) gives 5 < 6"),
-    VerificationFamily: ("tiny", (CONFIG,), ("thm3-capacity",), 7),
+    VerificationFamily: ("tiny", (CONFIG,), ("thm3-capacity",)),
     NodeContents: (4, 11, 2),
     RepairPlan: (1, 2, (3, 4), {3: (1, 2), 4: (5, 6)}, ((1, 0, 0, 0),)),
     CodeInstance: (13, ((1, 2), (3, 4), (5, 6)), ((6, 5), (4, 3), (2, 1)), {3: PLAN}),
@@ -147,7 +147,6 @@ def test_equality_and_hash_follow_every_field():
 
 def test_defaults():
     assert VerificationReport("i", "c", True).counterexample is None
-    assert VerificationFamily("f", (CONFIG,), ("thm3-capacity",)).seed == 0
 
 
 @pytest.mark.parametrize("cls", sorted(UNHASHABLE, key=lambda cls: cls.__name__),
