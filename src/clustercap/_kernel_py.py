@@ -8,6 +8,19 @@ into distinct coefficient profiles (per-position beta coefficients); each
 profile keeps its first sequence as representative, so the first minimum
 over the profiles (as ``min`` returns it) is the first minimizing
 sequence in scan order.
+
+The profiles are built by a depth-first search over positions that tries
+labels in scan order, so the sequences it completes come in scan order.
+A position's coefficient depends only on the position, the node's
+within-cluster rank and whether it is separate, so the profiles that
+complete a prefix depend only on the prefix's per-label counts.  The
+search skips a branch when it already expanded a prefix with the same
+counts and the same profile prefix, and it skips cluster c when cluster
+c-1 has the same size and the same count so far: swapping the two labels
+maps every completion through c onto one through c-1 with the same
+profile.  Either skipped subtree repeats only profiles that an earlier
+branch already completed, so each profile is still first reached
+through its first sequence in scan order.
 """
 
 from __future__ import annotations
@@ -16,8 +29,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .mincut import _coefficients
-from .model import _multiset_permutations
+from .mincut import _coefficient
 
 
 @lru_cache(maxsize=4096)
@@ -30,20 +42,66 @@ def distribution_profiles(
     of (intra_coeff, cross_coeff, is_separate) per position and the
     representative is the first sequence (original labels, 0 = separate)
     producing that profile.
+
+    Built by the pruned depth-first search of the module docstring, with
+    an explicit stack so that k bounds no recursion depth.  A state is
+    the per-label used counts plus the id of its profile prefix, interned
+    as (parent id, coefficient); the search expands each state once and
+    skips a twin cluster, so every profile is emitted through its first
+    sequence in scan order, as a walk over every sequence would.
     """
-    L = len(clusters)
-    sep_label = L + 1
-    items = [c for c, count in enumerate(clusters, start=1) for _ in range(count)]
-    items += [sep_label] * s0
-    profiles: dict = {}
-    ordered = []
-    for mapped in _multiset_permutations(items):
-        coeffs = _coefficients(mapped, sep_label, d_intra, d_cross)
-        if coeffs not in profiles:
-            labels = tuple(0 if x == sep_label else x for x in mapped)
-            profiles[coeffs] = labels
-            ordered.append((coeffs, labels))
-    return tuple(ordered)
+    sizes = clusters + (s0,)
+    sep = len(clusters)
+    names = tuple(range(1, sep + 1)) + (0,)
+    n = len(sizes)
+    twin = [0 < c < sep and sizes[c - 1] == sizes[c] for c in range(n)]
+    k = sum(sizes)
+    used = [0] * n
+    coefficient: dict = {}
+    ids: dict = {}
+    expanded = set()
+    path: list[int] = []
+    coeffs: list = []
+    pids: list[int] = []
+    pid = -1
+    out = []
+    c = 0  # the next label index to try at the current depth
+    while True:
+        while c < n and (used[c] == sizes[c] or (twin[c] and used[c - 1] == used[c])):
+            c += 1
+        if c == n:  # every label tried here: back up and try the next one
+            if not path:
+                return tuple(out)
+            c = path.pop()
+            used[c] -= 1
+            coeffs.pop()
+            pid = pids.pop()
+            c += 1
+            continue
+        i = len(path) + 1
+        h = used[c] + 1
+        key = (i, h, c == sep)
+        coeff = coefficient.get(key)
+        if coeff is None:
+            coeff = coefficient[key] = _coefficient(i, h, c == sep, d_intra, d_cross)
+        child = ids.setdefault((pid, coeff), len(ids))
+        used[c] = h
+        state = (tuple(used), child)
+        if state not in expanded:
+            expanded.add(state)
+            if i < k:
+                path.append(c)
+                coeffs.append(coeff)
+                pids.append(pid)
+                pid = child
+                c = 0
+                continue
+            out.append((
+                tuple(coeffs) + (coeff,),
+                tuple(names[x] for x in path) + (names[c],),
+            ))
+        used[c] -= 1
+        c += 1
 
 
 @lru_cache(maxsize=16384)

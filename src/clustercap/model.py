@@ -179,10 +179,12 @@ class RepairParams(Record):
 
     @property
     def gamma_intra(self) -> Fraction:
+        """Intra-cluster part of a cluster node's repair bandwidth: d_intra * beta_intra."""
         return self.d_intra * self.beta_intra
 
     @property
     def gamma_cross(self) -> Fraction:
+        """Cross-cluster part of a cluster node's repair bandwidth: d_cross * beta_cross."""
         return self.d_cross * self.beta_cross
 
     @property

@@ -1,19 +1,21 @@
 """Scan-kernel tests: the profile-compressed scan must match a direct loop
-over every sequence, and exact integers must carry huge rationals."""
+over every sequence, the pruned profile search must match a walk over
+every permutation, and exact integers must carry huge rationals."""
 
 import random
 from fractions import Fraction
 from operator import itemgetter
 
 from clustercap import _kernel_py
-from clustercap.mincut import mincut
+from clustercap.mincut import _coefficients, mincut
 from clustercap.model import (
     NodeParams,
+    _multiset_permutations,
     enumerate_distributions,
     enumerate_orders,
     validate_config,
 )
-from clustercap.oracle import brute_force_capacity
+from clustercap.oracle import brute_force_capacity, sweep_configs
 
 
 def _random_cases(count, seed):
@@ -64,3 +66,68 @@ def test_brute_force_handles_huge_rationals():
     expected = (Fraction(2**80, 3) + 2 * Fraction(2**80, 7)) + 2 * Fraction(2**80, 7)
     assert result.value == expected
 
+
+
+def _walked_profiles(s0, clusters, d_intra, d_cross):
+    """Reference for `distribution_profiles`: the coefficients of every
+    multiset permutation in scan order (separate label last), keeping the
+    first sequence of each distinct profile."""
+    L = len(clusters)
+    sep_label = L + 1
+    items = [c for c, count in enumerate(clusters, start=1) for _ in range(count)]
+    items += [sep_label] * s0
+    profiles: dict = {}
+    ordered = []
+    for mapped in _multiset_permutations(items):
+        coeffs = _coefficients(mapped, sep_label, d_intra, d_cross)
+        if coeffs not in profiles:
+            labels = tuple(0 if x == sep_label else x for x in mapped)
+            profiles[coeffs] = labels
+            ordered.append((coeffs, labels))
+    return tuple(ordered)
+
+
+def test_profile_search_matches_permutation_walk():
+    """Same profiles, same representatives, same order as the walk over
+    every permutation: on each distinct key of the sweep at E <= 2, on
+    twin-heavy L=4 keys, on keys with zero-count clusters and on k=1."""
+    keys = {
+        (dist.separate, dist.clusters, cfg.repair.d_intra, cfg.repair.d_cross)
+        for cfg in sweep_configs(E_values=(0, 1, 2))
+        for dist in enumerate_distributions(cfg.nodes)
+    }
+    assert len(keys) > 1300
+    keys |= {
+        (0, (2, 2, 2, 1), 2, 4),
+        (2, (2, 2, 2, 2), 1, 5),
+        (1, (3, 3, 3, 0), 2, 6),
+        (1, (2, 0, 2), 1, 4),
+        (0, (0, 3, 0, 3), 2, 5),
+        (2, (0,), 0, 3),
+        (1, (1,), 0, 1),
+    }
+    search = _kernel_py.distribution_profiles.__wrapped__
+    for key in sorted(keys):
+        assert search(*key) == _walked_profiles(*key), key
+
+
+def test_profile_search_needs_no_recursion_per_position():
+    """k = 1100 positions in one cluster: a search that recursed once per
+    position would exceed the interpreter's recursion limit."""
+    cfg = validate_config(
+        n=1200, k=1100, L=1, R=1200, E=0, d_cross=0,
+        beta_intra=1, beta_cross=1, alpha=5,
+    )
+    assert brute_force_capacity(cfg).value == 5500
+
+
+def test_profile_caches_expose_lru_controls():
+    """perfbench reads `cache_info` of both profile caches and clears them
+    between cold samples."""
+    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
+        cached.cache_clear()
+        assert cached.cache_info().currsize == 0
+    list(_kernel_py.profile_cuts(1, (2, 1), 1, 3, 4, 2, 1))
+    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
+        info = cached.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
