@@ -104,6 +104,24 @@ def distribution_profiles(
         c += 1
 
 
+@lru_cache(maxsize=4096)
+def intra_multiset_mismatch(
+    s0: int, clusters: tuple[int, ...], d_intra: int, d_cross: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """Lemma 1's verdict on a distribution: None when every profile has
+    the same sorted intra coefficients, else (representative order, its
+    sorted intra coefficients, the first profile's) of the first profile
+    in scan order that differs."""
+    reference = None
+    for coeffs, labels in distribution_profiles(s0, clusters, d_intra, d_cross):
+        bag = tuple(sorted(a for a, _, _ in coeffs))
+        if reference is None:
+            reference = bag
+        elif bag != reference:
+            return labels, bag, reference
+    return None
+
+
 @lru_cache(maxsize=16384)
 def _weighted_profiles(
     s0: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import attrgetter
 
@@ -342,9 +343,12 @@ class ClusterOrder(Record):
         return "(" + ", ".join(str(x) for x in self.labels) + ")"
 
 
-def enumerate_distributions(nodes: NodeParams) -> list[SelectedNodeDistribution]:
+@lru_cache(maxsize=128)
+def enumerate_distributions(nodes: NodeParams) -> tuple[SelectedNodeDistribution, ...]:
     """All selected-node distributions, separate count descending, then
-    cluster counts in descending lexicographic order."""
+    cluster counts in descending lexicographic order.
+
+    Cached per node layout; the tuple is shared by every caller."""
     if nodes.k > nodes.E + nodes.L * nodes.R:
         raise Infeasible(f"k={nodes.k} exceeds selectable nodes {nodes.E + nodes.L * nodes.R}")
     out: list[SelectedNodeDistribution] = []
@@ -365,7 +369,7 @@ def enumerate_distributions(nodes: NodeParams) -> list[SelectedNodeDistribution]
     for s0 in range(min(nodes.E, nodes.k), -1, -1):
         if nodes.k - s0 <= nodes.L * nodes.R:
             fill(nodes.k - s0, nodes.L, nodes.R, [])
-    return out
+    return tuple(out)
 
 
 def _multiset_permutations(items: list[int]) -> Iterator[tuple[int, ...]]:

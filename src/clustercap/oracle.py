@@ -42,7 +42,7 @@ from .model import (
     order_count,
     validate_config,
 )
-from .sequencing import SeparatePositions, horizontal_selection, vertical_order
+from .sequencing import horizontal_selection, vertical_order
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -393,7 +393,13 @@ class _EvaluationContext:
     when None).
 
     A context serves one config only: `verify_claims` makes a fresh one per
-    config, so nothing is remembered across configs or calls.  `mincut`,
+    config, and nothing that depends on alpha or the bandwidths outlives
+    it.  It weights structure that its owners cache across configs and
+    calls under alpha-free keys: the distributions per node layout
+    (`model`), the coefficient profiles and Lemma 1's verdict per
+    (separate count, cluster counts, d_intra, d_cross) (`_kernel_py`), and
+    the horizontal selection, the vertical order and the pinned-separate
+    order per layout, distribution or position (`sequencing`).  `mincut`,
     `mincut_by_location` and `system_capacity` are looked up in this module
     when first read, so a substitute put there is what the checkers see.
     """
@@ -412,7 +418,7 @@ class _EvaluationContext:
         return _scaled_bandwidths(self.cfg)
 
     @cached_property
-    def distributions(self) -> list[SelectedNodeDistribution]:
+    def distributions(self) -> tuple[SelectedNodeDistribution, ...]:
         """Every distribution, in enumeration order, once their repair
         orders are known to fit the budget."""
         dists = enumerate_distributions(self.cfg.nodes)
@@ -455,11 +461,7 @@ class _EvaluationContext:
     @cached_property
     def vertical_cuts(self) -> dict[SelectedNodeDistribution, Fraction]:
         """Min-cut of the vertical order of each all-cluster distribution."""
-        none = SeparatePositions.none()
-        return {
-            dist: mincut(self.cfg, vertical_order(dist, none)).value
-            for dist in self.all_cluster
-        }
+        return {dist: mincut(self.cfg, vertical_order(dist)).value for dist in self.all_cluster}
 
     @cached_property
     def by_location(self) -> list[Fraction]:
@@ -479,15 +481,12 @@ def _check_lemma1(ctx: _EvaluationContext):
     sequence of a fixed all-cluster distribution."""
     rp = ctx.cfg.repair
     for dist in ctx.all_cluster:
-        reference = None
-        for coeffs, labels in _kernel_py.distribution_profiles(
+        mismatch = _kernel_py.intra_multiset_mismatch(
             dist.separate, dist.clusters, rp.d_intra, rp.d_cross
-        ):
-            bag = tuple(sorted(a for a, _, _ in coeffs))
-            if reference is None:
-                reference = bag
-            elif bag != reference:
-                return False, f"s={dist} order={labels} intra multiset {bag} != {reference}"
+        )
+        if mismatch is not None:
+            labels, bag, reference = mismatch
+            return False, f"s={dist} order={labels} intra multiset {bag} != {reference}"
     return True, None
 
 

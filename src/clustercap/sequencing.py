@@ -10,9 +10,15 @@ Two greedy constructions together achieve the system capacity:
 
 Separate selected nodes occupy pre-fixed positions in the sequence and
 the cluster labels cycle around them.
+
+The selection and the orders depend only on their arguments (node
+layout, distribution, separate positions), never on alpha or the
+bandwidths, so each function caches its immutable result under them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .model import ClusterOrder, ConfigError, NodeParams, Record, SelectedNodeDistribution
 
@@ -32,6 +38,7 @@ class SeparatePositions(Record):
         return cls(positions=())
 
 
+@lru_cache(maxsize=256)
 def horizontal_selection(nodes: NodeParams, s0: int) -> SelectedNodeDistribution:
     """Select s0 separate nodes and fill clusters with R selected nodes
     each until k - s0 are placed; the next cluster takes the remainder, the
@@ -50,6 +57,7 @@ def horizontal_selection(nodes: NodeParams, s0: int) -> SelectedNodeDistribution
     return SelectedNodeDistribution(separate=s0, clusters=tuple(counts))
 
 
+@lru_cache(maxsize=1024)
 def vertical_order(
     dist: SelectedNodeDistribution, sep: SeparatePositions | None = None
 ) -> ClusterOrder:
@@ -82,6 +90,7 @@ def vertical_order(
     return ClusterOrder(labels=tuple(labels))
 
 
+@lru_cache(maxsize=512)
 def optimal_order_with_separate_at(nodes: NodeParams, j: int) -> ClusterOrder:
     """The capacity-candidate sequence with one separate selected node
     pinned at position j; its min-cut is non-increasing in j, so j = k

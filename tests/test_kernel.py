@@ -15,7 +15,13 @@ from clustercap.model import (
     enumerate_orders,
     validate_config,
 )
-from clustercap.oracle import brute_force_capacity, sweep_configs
+from clustercap.oracle import (
+    ALL_CLAIMS,
+    VerificationFamily,
+    brute_force_capacity,
+    sweep_configs,
+    verify_claims,
+)
 
 
 def _random_cases(count, seed):
@@ -131,3 +137,30 @@ def test_profile_caches_expose_lru_controls():
     for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
         info = cached.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_every_cache_is_bounded_with_lru_controls(structural_caches):
+    """Each cache has a finite size, empties on `cache_clear`, and counts
+    in `cache_info` what one config's nine claims put in it."""
+    assert set(structural_caches) == {
+        "model.enumerate_distributions",
+        "sequencing.horizontal_selection",
+        "sequencing.vertical_order",
+        "sequencing.optimal_order_with_separate_at",
+        "_kernel_py.distribution_profiles",
+        "_kernel_py.intra_multiset_mismatch",
+        "_kernel_py._weighted_profiles",
+    }
+    for name, cached in structural_caches.items():
+        cached.cache_clear()
+        info = cached.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 0), name
+        assert isinstance(info.maxsize, int) and info.maxsize > 0, name
+    cfg = validate_config(
+        n=7, k=5, L=3, R=2, E=1, d_cross=4, beta_intra=2, beta_cross=1, alpha=3,
+    )
+    family = VerificationFamily(name="one", configs=(cfg,), claims=ALL_CLAIMS)
+    assert all(report.passed for report in verify_claims(family))
+    for name, cached in structural_caches.items():
+        info = cached.cache_info()
+        assert 0 < info.currsize == info.misses <= info.maxsize, (name, info)

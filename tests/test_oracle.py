@@ -383,6 +383,42 @@ def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
     assert not report.passed
 
 
+@pytest.fixture
+def fresh_lemma1_verdicts():
+    """A planted profile must not leave its verdict in the cache."""
+    _kernel_py.intra_multiset_mismatch.cache_clear()
+    yield
+    _kernel_py.intra_multiset_mismatch.cache_clear()
+
+
+def test_lemma1_flags_planted_violation(monkeypatch, fresh_lemma1_verdicts):
+    """Two profiles of the one all-cluster distribution get a changed intra
+    multiset; the report names the first of them in scan order."""
+    profiles = _kernel_py.distribution_profiles
+    (dist,) = [d for d in enumerate_distributions(PLANTED.nodes) if d.separate == 0]
+    rp = PLANTED.repair
+    real = profiles(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)
+    assert len(real) > 2
+    planted_at = (1, len(real) - 1)
+
+    def planted(*key):
+        out = list(profiles(*key))
+        for index in planted_at:
+            ((a, b, sep), *rest), labels = out[index]
+            out[index] = (((a + 1, b, sep), *rest), labels)
+        return tuple(out)
+
+    monkeypatch.setattr(_kernel_py, "distribution_profiles", planted)
+    report = _only_report("lemma1-multiset")
+    assert not report.passed
+    coeffs, labels = planted(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)[1]
+    bag = tuple(sorted(a for a, _, _ in coeffs))
+    reference = tuple(sorted(a for a, _, _ in real[0][0]))
+    assert report.counterexample == (
+        f"s=(0; 2, 2, 1) order={labels} intra multiset {bag} != {reference}"
+    )
+
+
 def _families_for_context_check():
     tiny = oracle.FAMILIES["tiny"]().configs
     return {
@@ -406,6 +442,24 @@ def test_shared_context_matches_each_checker_alone(name):
         for claim in oracle.ALL_CLAIMS
     ]
     assert verify_claims(family) == alone
+
+
+@pytest.mark.parametrize("name", ["tiny", "tiny-2/7", "tiny-E23"])
+def test_reports_do_not_depend_on_cache_state(name, structural_caches):
+    """The structure cached across configs is keyed by everything it
+    depends on: clearing every cache before each config gives the reports
+    of a run on caches that the whole family has warmed."""
+    configs = _families_for_context_check()[name]
+    family = VerificationFamily(name=name, configs=configs, claims=oracle.ALL_CLAIMS)
+    verify_claims(family)
+    warm = verify_claims(family)
+    cold = []
+    for config in configs:
+        for cached in structural_caches.values():
+            cached.cache_clear()
+        one = VerificationFamily(name=name, configs=(config,), claims=oracle.ALL_CLAIMS)
+        cold += verify_claims(one)
+    assert cold == warm
 
 
 def test_verify_claims_unknown_family():
