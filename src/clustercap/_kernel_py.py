@@ -21,15 +21,33 @@ maps every completion through c onto one through c-1 with the same
 profile.  Either skipped subtree repeats only profiles that an earlier
 branch already completed, so each profile is still first reached
 through its first sequence in scan order.
+
+The scan visits cut classes, not profiles.  A profile's cut
+sum(min(alpha, w_i)) is piecewise linear in alpha with breaks at its
+weights, so between two consecutive distinct weights (bounds) of all the
+distribution's profiles it is s + alpha * (k - t), where t and s count and
+sum the weights at or below the lower bound.  Within one such alpha
+interval the profiles with the same (first separate position, t, s) form
+a class with one cut, and the class keeps its first profile in scan order
+as representative.  Both readers want the first profile in scan order
+that meets a test depending only on the cut and the separate position:
+the first minimum (the search), and the first cut below a bound for its
+separate position (Theorem 1's check).  The first profile that meets such
+a test is the first of its class, since every earlier member would meet
+it too; so scanning the classes in the order of their representatives
+finds the same profile.  Each interval's classes are built when first
+asked for and cached per (distribution, bandwidths, interval).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
 from functools import lru_cache
 
 from .mincut import _coefficient
+
+# (first separate position, sorted weights, representative)
+_Row = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=4096)
@@ -130,17 +148,50 @@ def _weighted_profiles(
     d_cross: int,
     beta_intra: int,
     beta_cross: int,
-):
-    """Profiles with weights pre-sorted and prefix-summed so a capacity
-    query per alpha is O(log k) per profile."""
-    out = []
+) -> tuple[tuple[_Row, ...], tuple[int, ...]]:
+    """(rows, bounds) of a distribution under scaled bandwidths.
+
+    rows is ((first separate position, sorted weights, representative),
+    ...) in scan order, one per distinct (first separate position, sorted
+    weights): the first profile of each, since the rest share its cut at
+    every alpha.  The position is 0-based, -1 when s0 is 0.  bounds is the
+    sorted distinct weights of every row.
+    """
+    rows: dict = {}
     for coeffs, labels in distribution_profiles(s0, clusters, d_intra, d_cross):
-        weights = sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs)
-        prefix = [0]
-        for w in weights:
-            prefix.append(prefix[-1] + w)
-        out.append((weights, tuple(prefix), labels))
-    return tuple(out)
+        weights = tuple(sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs))
+        rows.setdefault((labels.index(0) if s0 else -1, weights), labels)
+    bounds = tuple(sorted({w for _, weights in rows for w in weights}))
+    return tuple((j, weights, labels) for (j, weights), labels in rows.items()), bounds
+
+
+@lru_cache(maxsize=40960)
+def _cut_classes(
+    s0: int,
+    clusters: tuple[int, ...],
+    d_intra: int,
+    d_cross: int,
+    beta_intra: int,
+    beta_cross: int,
+    interval: int,
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """((s, k - t, representative), ...) of the cut classes of alpha
+    interval `interval` of `_weighted_profiles`, in scan order.
+
+    For every alpha with bisect_right(bounds, alpha) == interval, a row's
+    weights up to alpha are those up to bounds[interval - 1] (none when
+    interval is 0): t of them, summing to s, so its cut is
+    s + alpha * (k - t).  A class is the rows with the same (first
+    separate position, t, s); it keeps the first of them.
+    """
+    rows, bounds = _weighted_profiles(s0, clusters, d_intra, d_cross, beta_intra, beta_cross)
+    k = s0 + sum(clusters)
+    bound = bounds[interval - 1] if interval else -1
+    classes: dict = {}
+    for j, weights, labels in rows:
+        t = bisect_right(weights, bound)
+        classes.setdefault((j, t, sum(weights[:t])), labels)
+    return tuple((s, k - t, labels) for (_, t, s), labels in classes.items())
 
 
 def profile_cuts(
@@ -151,15 +202,19 @@ def profile_cuts(
     alpha: int,
     beta_intra: int,
     beta_cross: int,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(sum(min(alpha, w_i)), representative order) of each distinct
-    profile of the distribution, in scan order.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(sum(min(alpha, w_i)), representative order) of each cut class of
+    the distribution at alpha, in scan order.
 
-    All bandwidth arguments are pre-scaled non-negative integers.
+    Every profile of a class has the class's cut and first separate
+    position, and the representative is the class's first profile.  All
+    bandwidth arguments are pre-scaled non-negative integers.
     """
-    k = s0 + sum(clusters)
-    for weights, prefix, labels in _weighted_profiles(
-        s0, clusters, d_intra, d_cross, beta_intra, beta_cross
-    ):
-        t = bisect_right(weights, alpha)
-        yield prefix[t] + alpha * (k - t), labels
+    _, bounds = _weighted_profiles(s0, clusters, d_intra, d_cross, beta_intra, beta_cross)
+    interval = bisect_right(bounds, alpha)
+    return [
+        (s + alpha * free, labels)
+        for s, free, labels in _cut_classes(
+            s0, clusters, d_intra, d_cross, beta_intra, beta_cross, interval
+        )
+    ]

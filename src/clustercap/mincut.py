@@ -133,8 +133,11 @@ def mincut(cfg: SystemConfig, order: ClusterOrder) -> CutReport:
     """Min-cut of the flow graph induced by `order`: sum of
     min(alpha, w_i) over the k positions, summed on scaled integers."""
     scale, alpha, cut, weights = _scaled_cut(cfg, order)
+    if scale == 1:  # Fraction(w) skips the gcd that Fraction(w, 1) computes
+        value, fractions = Fraction(cut), tuple(map(Fraction, weights))
+    else:
+        value = Fraction(cut, scale)
+        fractions = tuple(Fraction(w, scale) for w in weights)
     return CutReport(
-        value=Fraction(cut, scale),
-        weights=tuple(Fraction(w, scale) for w in weights),
-        capped=tuple(alpha < w for w in weights),
+        value=value, weights=fractions, capped=tuple(alpha < w for w in weights)
     )

@@ -284,28 +284,37 @@ def max_flow(graph: FlowGraph) -> int:
                     queue.append(to[e])
         if level[t] < 0:
             return flow
+        # blocking flow: a depth-first walk along level-increasing arcs with
+        # residual capacity, each vertex resuming at its current arc ptr[u]
         ptr = [0] * n
-
-        def push(u: int, limit: int) -> int:
-            if u == t:
-                return limit
-            while ptr[u] < len(adj[u]):
-                e = adj[u][ptr[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = push(v, min(limit, cap[e]))
-                    if got:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                ptr[u] += 1
-            return 0
-
+        path: list[int] = []  # the arcs from s to u
+        u = s
         while True:
-            pushed = push(s, graph.infinite)
-            if not pushed:
+            if u == t:
+                got = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= got
+                    cap[e ^ 1] += got
+                flow += got
+                # resume at the tail of the first saturated arc
+                for i, e in enumerate(path):
+                    if not cap[e]:
+                        del path[i:]
+                        break
+                u = to[path[-1]] if path else s
+                continue
+            arcs, p, up = adj[u], ptr[u], level[u] + 1
+            while p < len(arcs) and not (cap[arcs[p]] > 0 and level[to[arcs[p]]] == up):
+                p += 1
+            ptr[u] = p
+            if p < len(arcs):
+                path.append(arcs[p])
+                u = to[arcs[p]]
+            elif path:  # dead end: retreat and skip the arc that led here
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+            else:
                 break
-            flow += pushed
 
 
 def ifg_mincut(cfg: SystemConfig, order: ClusterOrder) -> Fraction:
@@ -438,8 +447,8 @@ class _EvaluationContext:
         return [dist for dist in self.distributions if dist.separate == 1]
 
     def cuts(self, dist: SelectedNodeDistribution):
-        """(scaled cut, representative order) of each distinct profile of
-        `dist`, in scan order."""
+        """(scaled cut, representative order) of each cut class of `dist`
+        at this alpha, in scan order (`_kernel_py.profile_cuts`)."""
         rp = self.cfg.repair
         _, alpha, beta_i, beta_c = self.scaled
         return _kernel_py.profile_cuts(

@@ -1,8 +1,10 @@
 """Scan-kernel tests: the profile-compressed scan must match a direct loop
 over every sequence, the pruned profile search must match a walk over
-every permutation, and exact integers must carry huge rationals."""
+every permutation, the scan over cut classes must match a scan over every
+profile, and exact integers must carry huge rationals."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
 
@@ -17,6 +19,7 @@ from clustercap.model import (
 )
 from clustercap.oracle import (
     ALL_CLAIMS,
+    SWEEP_BETA_PAIRS,
     VerificationFamily,
     brute_force_capacity,
     sweep_configs,
@@ -93,15 +96,20 @@ def _walked_profiles(s0, clusters, d_intra, d_cross):
     return tuple(ordered)
 
 
-def test_profile_search_matches_permutation_walk():
-    """Same profiles, same representatives, same order as the walk over
-    every permutation: on each distinct key of the sweep at E <= 2, on
-    twin-heavy L=4 keys, on keys with zero-count clusters and on k=1."""
-    keys = {
+def _sweep_keys():
+    """Every distinct (s0, clusters, d_intra, d_cross) of the sweep at E <= 2."""
+    return {
         (dist.separate, dist.clusters, cfg.repair.d_intra, cfg.repair.d_cross)
         for cfg in sweep_configs(E_values=(0, 1, 2))
         for dist in enumerate_distributions(cfg.nodes)
     }
+
+
+def test_profile_search_matches_permutation_walk():
+    """Same profiles, same representatives, same order as the walk over
+    every permutation: on each distinct key of the sweep at E <= 2, on
+    twin-heavy L=4 keys, on keys with zero-count clusters and on k=1."""
+    keys = _sweep_keys()
     assert len(keys) > 1300
     keys |= {
         (0, (2, 2, 2, 1), 2, 4),
@@ -115,6 +123,74 @@ def test_profile_search_matches_permutation_walk():
     search = _kernel_py.distribution_profiles.__wrapped__
     for key in sorted(keys):
         assert search(*key) == _walked_profiles(*key), key
+
+
+def _scanned_profiles(key, beta_intra, beta_cross):
+    """Reference for the cut classes: (sorted weights, prefix sums,
+    representative) of every profile of `key`, in scan order, for
+    `_profile_scan`."""
+    rows = []
+    for coeffs, labels in _kernel_py.distribution_profiles(*key):
+        weights = sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs)
+        prefix = [0]
+        for w in weights:
+            prefix.append(prefix[-1] + w)
+        rows.append((weights, prefix, labels))
+    return rows
+
+
+def _profile_scan(rows, k, alpha):
+    """(sum(min(alpha, w_i)), representative) of every profile, in scan
+    order: t weights are at most alpha and the other k - t are capped."""
+    return [
+        (prefix[t] + alpha * (k - t), labels)
+        for weights, prefix, labels in rows
+        for t in (bisect_right(weights, alpha),)
+    ]
+
+
+def _first_below(cuts, thresholds):
+    """The first (cut, order) whose cut is below the threshold of the
+    order's separate position, as thm1 looks for it; None if there is none."""
+    return next(((v, o) for v, o in cuts if v < thresholds[o.index(0)]), None)
+
+
+def test_cut_classes_match_a_scan_over_every_profile():
+    """On every distinct sweep key at E <= 2 under each sweep bandwidth
+    pair, at alpha = 0, at each weight bound, between bounds and above the
+    last one: the cut classes give the first minimum of a per-profile scan,
+    and for one separate node the first cut below a per-position threshold.
+    The bandwidths are doubled so that the midpoints are integers."""
+    checked = 0
+    for key in sorted(_sweep_keys()):
+        s0, clusters = key[:2]
+        k = s0 + sum(clusters)
+        for bi, bc in SWEEP_BETA_PAIRS:
+            betas = (2 * bi, 2 * bc)
+            rows = _scanned_profiles(key, *betas)
+            positions = [labels.index(0) for _, _, labels in rows] if s0 == 1 else None
+            bounds = sorted({w for weights, _, _ in rows for w in weights})
+            alphas = {0, bounds[-1] + 1}
+            alphas.update(bounds)
+            alphas.update((x + y) // 2 for x, y in zip(bounds, bounds[1:]))
+            for alpha in sorted(alphas):
+                reference = _profile_scan(rows, k, alpha)
+                got = _kernel_py.profile_cuts(*key, alpha, *betas)
+                assert min(got, key=itemgetter(0)) == min(reference, key=itemgetter(0))
+                checked += 1
+                if s0 != 1:
+                    continue
+                # the separate node takes every position in some order
+                least, most = {}, {}
+                for (v, _), j in zip(reference, positions):
+                    least[j] = min(v, least.get(j, v))
+                    most[j] = max(v, most.get(j, v))
+                lowest = [least[j] + 1 for j in range(k)]
+                highest = [most[j] for j in range(k)]
+                mixed = [lowest[j] if j % 2 else highest[j] for j in range(k)]
+                for thresholds in (lowest, highest, mixed):
+                    assert _first_below(got, thresholds) == _first_below(reference, thresholds)
+    assert checked > 50_000
 
 
 def test_profile_search_needs_no_recursion_per_position():
@@ -150,6 +226,7 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "_kernel_py.distribution_profiles",
         "_kernel_py.intra_multiset_mismatch",
         "_kernel_py._weighted_profiles",
+        "_kernel_py._cut_classes",
     }
     for name, cached in structural_caches.items():
         cached.cache_clear()

@@ -77,6 +77,7 @@ def test_brute_force_deterministic_cold_and_warm():
     runs = [brute_force_capacity(config) for _ in range(2)]
     _kernel_py.distribution_profiles.cache_clear()
     _kernel_py._weighted_profiles.cache_clear()
+    _kernel_py._cut_classes.cache_clear()
     runs.append(brute_force_capacity(config))
     assert len({(r.value, r.distribution, r.order) for r in runs}) == 1
 
@@ -339,6 +340,10 @@ def test_thm1_flags_planted_violation_on_rational_config(monkeypatch):
     assert value == mincut(PLANTED, ClusterOrder(labels=labels)).value
     assert bound == by_location(PLANTED, j) + RAISE
     assert value < bound
+    # the first violating order in scan order, byte for byte
+    assert report.counterexample == (
+        "s=(1; 2, 2, 0) order=(1, 1, 2, 2, 0) separate at 5: 7 < constructed 7001/1000"
+    )
 
 
 def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
@@ -361,6 +366,10 @@ def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
     assert value == original(PLANTED, ClusterOrder(labels=labels)).value
     assert bound == original(PLANTED, vertical_order(dist)).value + RAISE
     assert value < bound
+    # the first minimum of the first failing distribution, byte for byte
+    assert report.counterexample == (
+        "s=(0; 2, 2, 1): order (1, 1, 2, 2, 3) gives 49/6 < 24503/3000"
+    )
 
 
 def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
