@@ -16,6 +16,7 @@ import enum
 from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .mincut import _scaled_cut
@@ -102,11 +103,14 @@ def cluster_weight_values(
     return values
 
 
+@lru_cache(maxsize=4096, typed=True)
 def weight_values(
     k: int, E: int, R: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> tuple[Fraction, ...]:
     """Sorted weights of the capacity-achieving sequence with E separate
-    nodes: s = min(E, k) of them are selected and repaired last.
+    nodes: s = min(E, k) of them are selected and repaired last.  Cached
+    per argument types as well as values, so integer bandwidths give
+    integer weights and Fraction bandwidths Fraction weights.
 
     The separate node at position i weighs (R + d_cross - i) * beta_cross,
     so the tail i = k, ..., k-s+1 comes first in ascending order; the k - s
@@ -161,7 +165,12 @@ def system_capacity(cfg: SystemConfig) -> Fraction:
 def capacity_achiever(cfg: SystemConfig):
     """The (distribution, order) pair realizing system_capacity: horizontal
     selection of the cluster nodes, vertical order, separate nodes last."""
-    nd = cfg.nodes
+    return _layout_achiever(cfg.nodes)
+
+
+def _layout_achiever(nd: NodeParams):
+    """capacity_achiever of any config with node layout `nd`: the pair
+    does not depend on the repair parameters."""
     s = min(nd.E, nd.k)
     dist = horizontal_selection(nd, s)
     last = SeparatePositions(positions=tuple(range(nd.k - s + 1, nd.k + 1)))

@@ -21,6 +21,7 @@ d_intra = R - 1 bounds h_i <= d_intra + 1; this is asserted, not clamped.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .model import ClusterOrder, Record, SystemConfig, _scaled_bandwidths
 
@@ -88,44 +89,59 @@ def incoming_coefficients(
     return _coefficients(order.labels, 0, d_intra, d_cross)
 
 
-def _check_order(cfg: SystemConfig, order: ClusterOrder) -> None:
-    """Raise ValueError unless `order` is a repair sequence of `cfg`: k
-    entries, cluster labels at most L, at most R nodes of each cluster and
-    at most E separate nodes."""
-    nd = cfg.nodes
-    if order.k != nd.k:
-        raise ValueError(f"order has {order.k} entries, config has k={nd.k}")
+def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> None:
+    """Raise ValueError unless `labels` is a repair sequence of the layout:
+    k entries, cluster labels at most L, at most R nodes of each cluster
+    and at most E separate nodes."""
+    if len(labels) != k:
+        raise ValueError(f"order has {len(labels)} entries, config has k={k}")
     seen: dict[int, int] = {}
-    for label in order.labels:
+    for label in labels:
         h = seen[label] = seen.get(label, 0) + 1
         if label == 0:
-            if h > nd.E:
-                raise ValueError(f"order selects {h} separate nodes but E={nd.E}")
-        elif label > nd.L:
-            raise ValueError(f"cluster label exceeds L={nd.L} in {order}")
-        elif h > nd.R:
-            raise ValueError(f"order selects {h} nodes from cluster {label} but R={nd.R}")
+            if h > E:
+                raise ValueError(f"order selects {h} separate nodes but E={E}")
+        elif label > L:
+            raise ValueError(f"cluster label exceeds L={L} in {ClusterOrder(labels)}")
+        elif h > R:
+            raise ValueError(f"order selects {h} nodes from cluster {label} but R={R}")
+
+
+@lru_cache(maxsize=16384)
+def _order_coefficients(
+    labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
+) -> tuple[int, ...]:
+    """(a_1, b_1, ..., a_k, b_k): the beta_intra and beta_cross
+    coefficients of each position of a repair sequence, once `labels` is
+    checked against the layout.  A rejected sequence caches nothing, so
+    it is rejected again on every call."""
+    _check_labels(labels, k, L, R, E)
+    return tuple(
+        x for a, b, _ in _coefficients(labels, 0, d_intra, d_cross) for x in (a, b)
+    )
+
+
+def _checked_coefficients(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, ...]:
+    """_order_coefficients of `order` under the layout and helper counts
+    of `cfg`."""
+    nd, rp = cfg.nodes, cfg.repair
+    return _order_coefficients(order.labels, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross)
 
 
 def part_incoming_weights(cfg: SystemConfig, order: ClusterOrder) -> WeightVector:
     """The k incoming weights of a repair sequence, in sequence order."""
-    _check_order(cfg, order)
     rp = cfg.repair
-    coeffs = incoming_coefficients(rp.d_intra, rp.d_cross, order)
-    return tuple(a * rp.beta_intra + b * rp.beta_cross for a, b, _ in coeffs)
+    it = iter(_checked_coefficients(cfg, order))
+    return tuple(a * rp.beta_intra + b * rp.beta_cross for a, b in zip(it, it))
 
 
 def _scaled_cut(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, int, int, list[int]]:
     """(scale, alpha, cut, weights) of a repair sequence with the
     bandwidths cleared to integers by `scale`: the cut is
     sum(min(alpha, w_i)) over the scaled weights, in sequence order."""
-    _check_order(cfg, order)
-    rp = cfg.repair
+    it = iter(_checked_coefficients(cfg, order))
     scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
-    weights = [
-        a * beta_intra + b * beta_cross
-        for a, b, _ in _coefficients(order.labels, 0, rp.d_intra, rp.d_cross)
-    ]
+    weights = [a * beta_intra + b * beta_cross for a, b in zip(it, it)]
     return scale, alpha, sum(alpha if alpha < w else w for w in weights), weights
 
 

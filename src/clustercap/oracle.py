@@ -12,23 +12,22 @@ lattice DP, max-flow on the explicit graph) is the correctness argument.
 from __future__ import annotations
 
 import random
-from collections import deque
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil
 from operator import itemgetter
 
 from . import _kernel_py
 from .capacity import (
     Outcome,
-    capacity_achiever,
+    _layout_achiever,
     cluster_weight_values,
     compare_separate,
     mincut_by_location,
     system_capacity,
     weight_values,
 )
-from .mincut import _check_order, _coefficient, incoming_coefficients, mincut
+from .mincut import _check_labels, _coefficient, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -159,63 +158,55 @@ class FlowGraph(Record):
         object.__setattr__(self, "infinite", infinite)
 
 
-def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
-    """Flow graph of the repair sequence under worst-case wiring.
+# the capacity each edge of a cached wiring takes, as an index into
+# (alpha, beta_intra, beta_cross, infinite)
+_ALPHA, _BETA_INTRA, _BETA_CROSS, _INFINITE = range(4)
 
-    Each storage node is an input/output vertex pair joined by an edge of
-    capacity alpha.  The source feeds all n initial nodes; each newcomer
-    connects to all previous newcomers first (cross-cluster slots), then
-    to still-active original nodes; the collector reads the k newcomers.
+
+@lru_cache(maxsize=4096)
+def _ifg_wiring(
+    labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
+) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+    """(tails, heads, kinds) of the edges of the flow graph of a repair
+    sequence, in `build_ifg`'s edge order; kinds holds one byte per edge.
+
+    Vertices: 0 is the source; original slot m has input 1 + 2m and output
+    2 + 2m; newcomer step i has input 1 + 2n + 2i and output 2 + 2n + 2i;
+    2n + 2k + 1 is the collector.  Slots: cluster c (1..L) position r
+    (1..R) -> (c-1)*R + (r-1); separate e (1..E) -> L*R + (e-1).  A
+    rejected sequence caches nothing, so it is rejected on every call.
     """
-    _check_order(cfg, order)
-    nd, rp = cfg.nodes, cfg.repair
-    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
-    n, k = nd.n, nd.k
+    _check_labels(labels, k, L, R, E)
+    n = L * R + E
+    new = 1 + 2 * n
+    tails: list[int] = []
+    heads: list[int] = []
+    kinds = bytearray()
 
-    def orig_in(slot: int) -> int:
-        return 1 + 2 * slot
+    def edge(u: int, v: int, kind: int) -> None:
+        tails.append(u)
+        heads.append(v)
+        kinds.append(kind)
 
-    def orig_out(slot: int) -> int:
-        return 2 + 2 * slot
-
-    def new_in(i: int) -> int:
-        return 1 + 2 * n + 2 * i
-
-    def new_out(i: int) -> int:
-        return 2 + 2 * n + 2 * i
-
-    source = 0
-    sink = 2 * n + 2 * k + 1
-
-    # slots: cluster c (1..L) position r (1..R) -> (c-1)*R + (r-1);
-    # separate e (1..E) -> L*R + (e-1)
-    def cluster_of(slot: int) -> int:
-        return slot // nd.R + 1 if slot < nd.L * nd.R else 0
-
-    finite: list[tuple[int, int, int]] = []
     for slot in range(n):
-        finite.append((orig_in(slot), orig_out(slot), alpha))
-
+        edge(1 + 2 * slot, 2 + 2 * slot, _ALPHA)
     occupant: dict[int, int] = {}  # replaced slot -> newcomer step index
     step_cluster: list[int] = []  # cluster label per newcomer step
     seen: dict[int, int] = {}
-    for i, label in enumerate(order.labels):
-        seen[label] = seen.get(label, 0) + 1
-        h = seen[label]
+    for i, label in enumerate(labels):
+        h = seen[label] = seen.get(label, 0) + 1
         if label == 0:
-            slot = nd.L * nd.R + (h - 1)
-            want = rp.d
+            slot = L * R + (h - 1)
+            want = d_intra + d_cross
         else:
-            slot = (label - 1) * nd.R + (h - 1)
+            slot = (label - 1) * R + (h - 1)
             # intra edges: every other current member of the cluster
-            for r in range(nd.R):
-                other = (label - 1) * nd.R + r
-                if other == slot:
-                    continue
-                step = occupant.get(other)
-                src = orig_out(other) if step is None else new_out(step)
-                finite.append((src, new_in(i), beta_i))
-            want = rp.d_cross
+            for other in range((label - 1) * R, label * R):
+                if other != slot:
+                    step = occupant.get(other)
+                    edge(2 + 2 * other if step is None else new + 1 + 2 * step, new + 2 * i,
+                         _BETA_INTRA)
+            want = d_cross
         # cross (or, for a separate node, all) helpers: previous newcomers
         # outside the own cluster first, most recent first, then
         # unreplaced originals in ascending slot order
@@ -224,74 +215,115 @@ def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
             if len(helpers) == want:
                 break
             if label == 0 or step_cluster[j] != label:
-                helpers.append(new_out(j))
+                helpers.append(new + 1 + 2 * j)
         for other in range(n):
             if len(helpers) == want:
                 break
             if other == slot or other in occupant:
                 continue
-            if label != 0 and cluster_of(other) == label:
+            if label != 0 and other < L * R and other // R + 1 == label:
                 continue
-            helpers.append(orig_out(other))
+            helpers.append(2 + 2 * other)
         if len(helpers) != want:
             raise ValueError(f"cannot find {want} helpers at repair step {i + 1}")
         for src in helpers:
-            finite.append((src, new_in(i), beta_c))
-        finite.append((new_in(i), new_out(i), alpha))
+            edge(src, new + 2 * i, _BETA_CROSS)
+        edge(new + 2 * i, new + 1 + 2 * i, _ALPHA)
         occupant[slot] = i
         step_cluster.append(label)
-
-    infinite = sum(c for _, _, c in finite) + 1
-    edges = list(finite)
     for slot in range(n):
-        edges.append((source, orig_in(slot), infinite))
+        edge(0, 1 + 2 * slot, _INFINITE)
     for i in range(k):
-        edges.append((new_out(i), sink, infinite))
+        edge(new + 1 + 2 * i, 2 * n + 2 * k + 1, _INFINITE)
+    return tuple(tails), tuple(heads), bytes(kinds)
+
+
+def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
+    """Flow graph of the repair sequence under worst-case wiring.
+
+    Each storage node is an input/output vertex pair joined by an edge of
+    capacity alpha.  The source feeds all n initial nodes; each newcomer
+    connects to all previous newcomers first (cross-cluster slots), then
+    to still-active original nodes; the collector reads the k newcomers.
+    The wiring is cached per layout, helper counts and sequence
+    (`_ifg_wiring`); this call fills in the scaled capacities.
+    """
+    nd, rp = cfg.nodes, cfg.repair
+    tails, heads, kinds = _ifg_wiring(
+        order.labels, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross
+    )
+    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
+    infinite = (
+        kinds.count(_ALPHA) * alpha
+        + kinds.count(_BETA_INTRA) * beta_i
+        + kinds.count(_BETA_CROSS) * beta_c
+        + 1
+    )
+    capacity = (alpha, beta_i, beta_c, infinite)
     return FlowGraph(
-        vertex_count=2 * n + 2 * k + 2,
-        edges=tuple(edges),
-        source=source,
-        sink=sink,
+        vertex_count=2 * nd.n + 2 * nd.k + 2,
+        edges=tuple(zip(tails, heads, map(capacity.__getitem__, kinds))),
+        source=0,
+        sink=2 * nd.n + 2 * nd.k + 1,
         scale=scale,
         infinite=infinite,
     )
 
 
 def max_flow(graph: FlowGraph) -> int:
-    """Exact integral max-flow (Dinic) on the scaled graph."""
-    n = graph.vertex_count
+    """Exact integral max-flow (Dinic) on the scaled graph.
+
+    Raises ValueError when the source equals the sink, or an edge has a
+    negative capacity or an endpoint outside 0..vertex_count-1.
+    """
+    n, s, t = graph.vertex_count, graph.source, graph.sink
+    if s == t or not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"source {s} and sink {t} must be distinct vertices below {n}")
+    # arc e runs from to[e ^ 1] to to[e] with residual capacity cap[e];
+    # edge j gives arc 2j and its reverse 2j + 1
     adj: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-    for u, v, c in graph.edges:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    s, t = graph.source, graph.sink
+    to = [0] * (2 * len(graph.edges))
+    cap = to[:]
+    e = 0
+    try:
+        for u, v, c in graph.edges:
+            if c < 0 or u < 0 or v < 0:
+                raise ValueError(f"edge ({u}, {v}, {c}) has a negative endpoint or capacity")
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            to[e] = v
+            to[e + 1] = u
+            cap[e] = c
+            e += 2
+    except IndexError:
+        raise ValueError(f"edge ({u}, {v}, {c}) has an endpoint not below {n}") from None
     flow = 0
     while True:
+        # level[v]: residual distance from v to the sink, labelled
+        # breadth-first backwards from the sink until the source is reached
         level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in adj[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[t] < 0:
+        level[t] = 0
+        queue = [t]
+        for v in queue:
+            below = level[v] + 1
+            for e in adj[v]:
+                w = to[e]
+                if level[w] < 0 and cap[e ^ 1] > 0:
+                    level[w] = below
+                    queue.append(w)
+            if level[s] >= 0:
+                break
+        else:
             return flow
-        # blocking flow: a depth-first walk along level-increasing arcs with
-        # residual capacity, each vertex resuming at its current arc ptr[u]
+        # blocking flow: a depth-first walk from the source along arcs with
+        # residual capacity that step one level down, each vertex resuming
+        # at its current arc ptr[u]
         ptr = [0] * n
         path: list[int] = []  # the arcs from s to u
         u = s
         while True:
             if u == t:
-                got = min(cap[e] for e in path)
+                got = min(map(cap.__getitem__, path))
                 for e in path:
                     cap[e] -= got
                     cap[e ^ 1] += got
@@ -303,13 +335,17 @@ def max_flow(graph: FlowGraph) -> int:
                         break
                 u = to[path[-1]] if path else s
                 continue
-            arcs, p, up = adj[u], ptr[u], level[u] + 1
-            while p < len(arcs) and not (cap[arcs[p]] > 0 and level[to[arcs[p]]] == up):
+            arcs, p, down = adj[u], ptr[u], level[u] - 1
+            end = len(arcs)
+            while p < end:
+                e = arcs[p]
+                if cap[e] > 0 and level[to[e]] == down:
+                    break
                 p += 1
             ptr[u] = p
-            if p < len(arcs):
-                path.append(arcs[p])
-                u = to[arcs[p]]
+            if p < end:
+                path.append(e)
+                u = to[e]
             elif path:  # dead end: retreat and skip the arc that led here
                 u = to[path.pop() ^ 1]
                 ptr[u] += 1
@@ -319,7 +355,9 @@ def max_flow(graph: FlowGraph) -> int:
 
 def ifg_mincut(cfg: SystemConfig, order: ClusterOrder) -> Fraction:
     """Source-collector max-flow of the explicit graph, as an exact
-    rational; equals the part-cut formula by max-flow/min-cut duality."""
+    rational.  It never exceeds the part-cut value `mincut(cfg, order)`,
+    and the two are equal at the capacity-achieving order; on other
+    orders it can be smaller."""
     graph = build_ifg(cfg, order)
     return Fraction(max_flow(graph), graph.scale)
 
@@ -359,7 +397,8 @@ def sweep_alpha_values(
     k: int, R: int, E: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> list[Fraction]:
     """Zero, every sorted-weight boundary, and the saturation point."""
-    values = weight_values(k, E, R, d_cross, beta_intra, beta_cross)
+    # past the weights' cache: the grid is built once per family
+    values = weight_values.__wrapped__(k, E, R, d_cross, beta_intra, beta_cross)
     grid = {Fraction(0), sum(values, start=Fraction(0))}
     grid.update(values)
     return sorted(grid)
@@ -402,13 +441,18 @@ class _EvaluationContext:
     when None).
 
     A context serves one config only: `verify_claims` makes a fresh one per
-    config, and nothing that depends on alpha or the bandwidths outlives
-    it.  It weights structure that its owners cache across configs and
-    calls under alpha-free keys: the distributions per node layout
-    (`model`), the coefficient profiles and Lemma 1's verdict per
-    (separate count, cluster counts, d_intra, d_cross) (`_kernel_py`), and
-    the horizontal selection, the vertical order and the pinned-separate
-    order per layout, distribution or position (`sequencing`).  `mincut`,
+    config, and nothing keyed by alpha outlives it.  It weights structure
+    that its owners cache across configs and calls under keys without
+    alpha: the distributions per node layout (`model`), the coefficient
+    profiles and Lemma 1's verdict per (separate count, cluster counts,
+    d_intra, d_cross) (`_kernel_py`), the horizontal selection, the
+    vertical order and the pinned-separate order per layout, distribution
+    or position (`sequencing`), the checked coefficient pairs of an order
+    per (labels, layout, d_intra, d_cross) (`mincut`), the sorted weights
+    per their arguments (`capacity.weight_values`), and, in this module,
+    the flow-graph wiring per (labels, layout, d_intra, d_cross), Lemma
+    2's verdict per (layout, d_intra, d_cross) and Theorem 4's per
+    (layout, d_cross, beta_intra, beta_cross).  `mincut`,
     `mincut_by_location` and `system_capacity` are looked up in this module
     when first read, so a substitute put there is what the checkers see.
     """
@@ -499,16 +543,26 @@ def _check_lemma1(ctx: _EvaluationContext):
     return True, None
 
 
+@lru_cache(maxsize=4096)
+def _lemma2_counterexample(nodes: NodeParams, d_intra: int, d_cross: int) -> str | None:
+    """Lemma 2's verdict on the constructed optimal sequence of a layout:
+    None, or the first position whose coefficient pair does not sum to
+    d + 1 - i."""
+    _, order = _layout_achiever(nodes)
+    d = d_intra + d_cross
+    coeffs = incoming_coefficients(d_intra, d_cross, order)
+    for i, (a, b, _) in enumerate(coeffs, start=1):
+        if a + b != d + 1 - i:
+            return f"position {i} of {order}: {a}+{b} != {d + 1 - i}"
+    return None
+
+
 def _check_lemma2(ctx: _EvaluationContext):
     """Along the constructed optimal sequence the coefficient pairs sum to
     d + 1 - i at every position."""
     rp = ctx.cfg.repair
-    _, order = capacity_achiever(ctx.cfg)
-    coeffs = incoming_coefficients(rp.d_intra, rp.d_cross, order)
-    for i, (a, b, _) in enumerate(coeffs, start=1):
-        if a + b != rp.d + 1 - i:
-            return False, f"position {i} of {order}: {a}+{b} != {rp.d + 1 - i}"
-    return True, None
+    counter = _lemma2_counterexample(ctx.cfg.nodes, rp.d_intra, rp.d_cross)
+    return counter is None, counter
 
 
 def _check_prop1(ctx: _EvaluationContext):
@@ -579,31 +633,43 @@ def _check_thm3(ctx: _EvaluationContext):
     return True, None
 
 
+@lru_cache(maxsize=4096)
+def _thm4_counterexample(
+    nodes: NodeParams, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
+) -> str | None:
+    """Theorem 4's verdict on a layout without separate nodes: None, or
+    how adding one separate node at uncapped alpha departs from the
+    dichotomy.  Uncapped alpha, one more than the saturated capacity,
+    depends on the bandwidths alone, and d_intra is R - 1 in every
+    config."""
+    values = cluster_weight_values(nodes.k, nodes.R, d_cross, beta_intra, beta_cross)
+    uncapped = RepairParams(
+        alpha=sum(values, start=Fraction(0)) + 1,
+        d_intra=nodes.R - 1,
+        beta_intra=beta_intra,
+        d_cross=d_cross,
+        beta_cross=beta_cross,
+    )
+    verdict = compare_separate(nodes, uncapped)
+    keep = nodes.k % nodes.R == 0 or beta_intra == beta_cross
+    expected = Outcome.EQUAL if keep else Outcome.REDUCED
+    if verdict.outcome is not expected:
+        return (
+            f"expected {expected.value} (k={nodes.k}, R={nodes.R}), got "
+            f"{verdict.outcome.value}: without={verdict.capacity_without} "
+            f"with={verdict.capacity_with}"
+        )
+    return None
+
+
 def _check_thm4(ctx: _EvaluationContext):
     """Adding one separate node at uncapped alpha keeps capacity iff R
     divides k (strict reduction needs beta_intra > beta_cross)."""
     nd, rp = ctx.cfg.nodes, ctx.cfg.repair
     if nd.E != 0:
         return True, None
-    scale, _, beta_i, beta_c = ctx.scaled
-    values = cluster_weight_values(nd.k, nd.R, rp.d_cross, beta_i, beta_c)
-    uncapped = RepairParams(
-        alpha=Fraction(sum(values), scale) + 1,
-        d_intra=rp.d_intra,
-        beta_intra=rp.beta_intra,
-        d_cross=rp.d_cross,
-        beta_cross=rp.beta_cross,
-    )
-    verdict = compare_separate(nd, uncapped)
-    keep = nd.k % nd.R == 0 or rp.beta_intra == rp.beta_cross
-    expected = Outcome.EQUAL if keep else Outcome.REDUCED
-    if verdict.outcome is not expected:
-        return False, (
-            f"expected {expected.value} (k={nd.k}, R={nd.R}), got "
-            f"{verdict.outcome.value}: without={verdict.capacity_without} "
-            f"with={verdict.capacity_with}"
-        )
-    return True, None
+    counter = _thm4_counterexample(nd, rp.d_cross, rp.beta_intra, rp.beta_cross)
+    return counter is None, counter
 
 
 def _check_closed_vs_search(ctx: _EvaluationContext):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from clustercap import _kernel_py
+from clustercap.capacity import capacity_achiever, system_capacity
 from clustercap.mincut import _coefficients, mincut
 from clustercap.model import (
     NodeParams,
@@ -22,6 +23,7 @@ from clustercap.oracle import (
     SWEEP_BETA_PAIRS,
     VerificationFamily,
     brute_force_capacity,
+    ifg_mincut,
     sweep_configs,
     verify_claims,
 )
@@ -217,7 +219,8 @@ def test_profile_caches_expose_lru_controls():
 
 def test_every_cache_is_bounded_with_lru_controls(structural_caches):
     """Each cache has a finite size, empties on `cache_clear`, and counts
-    in `cache_info` what one config's nine claims put in it."""
+    in `cache_info` what the nine claims and the max-flow check of two
+    configs, one with a separate node and one without, put in it."""
     assert set(structural_caches) == {
         "model.enumerate_distributions",
         "sequencing.horizontal_selection",
@@ -227,17 +230,27 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "_kernel_py.intra_multiset_mismatch",
         "_kernel_py._weighted_profiles",
         "_kernel_py._cut_classes",
+        "mincut._order_coefficients",
+        "capacity.weight_values",
+        "oracle._ifg_wiring",
+        "oracle._lemma2_counterexample",
+        "oracle._thm4_counterexample",
     }
     for name, cached in structural_caches.items():
         cached.cache_clear()
         info = cached.cache_info()
         assert (info.currsize, info.hits, info.misses) == (0, 0, 0), name
         assert isinstance(info.maxsize, int) and info.maxsize > 0, name
-    cfg = validate_config(
-        n=7, k=5, L=3, R=2, E=1, d_cross=4, beta_intra=2, beta_cross=1, alpha=3,
+    configs = tuple(
+        validate_config(
+            n=6 + E, k=5, L=3, R=2, E=E, d_cross=4, beta_intra=2, beta_cross=1, alpha=3,
+        )
+        for E in (1, 0)
     )
-    family = VerificationFamily(name="one", configs=(cfg,), claims=ALL_CLAIMS)
+    family = VerificationFamily(name="two", configs=configs, claims=ALL_CLAIMS)
     assert all(report.passed for report in verify_claims(family))
+    for cfg in configs:
+        assert ifg_mincut(cfg, capacity_achiever(cfg)[1]) == system_capacity(cfg)
     for name, cached in structural_caches.items():
         info = cached.cache_info()
         assert 0 < info.currsize == info.misses <= info.maxsize, (name, info)

@@ -131,6 +131,205 @@ def test_max_flow_on_known_graph():
     assert max_flow(graph) == 5
 
 
+def test_max_flow_cancels_flow_on_a_reverse_arc():
+    """The first shortest path found, 0-1-3-5, blocks both 0-2-3-5 and
+    0-1-4-5; the second unit needs the longer path 0-2-3-1-4-5, which
+    runs back along the flow on 1-3."""
+    from clustercap.oracle import FlowGraph
+
+    graph = FlowGraph(
+        vertex_count=6,
+        edges=((0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1), (3, 5, 1), (4, 5, 1)),
+        source=0,
+        sink=5,
+        scale=1,
+        infinite=8,
+    )
+    assert max_flow(graph) == 2
+
+
+def _brute_force_min_cut(graph):
+    """Least capacity of edges leaving a vertex set that holds the source
+    and not the sink, over every such set."""
+    others = [v for v in range(graph.vertex_count) if v not in (graph.source, graph.sink)]
+    best = None
+    for mask in range(1 << len(others)):
+        side = {graph.source} | {v for i, v in enumerate(others) if mask >> i & 1}
+        value = sum(c for u, v, c in graph.edges if u in side and v not in side)
+        best = value if best is None else min(best, value)
+    return best
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 7))
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 9)),
+            max_size=18,
+        )
+    )
+    # parallel edges on purpose: repeat some drawn edges
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return oracle.FlowGraph(
+        vertex_count=n, edges=tuple(edges), source=source, sink=sink, scale=1, infinite=10**6,
+    )
+
+
+@given(small_graphs())
+@settings(max_examples=300, deadline=None)
+def test_max_flow_equals_brute_force_min_cut(graph):
+    """Max-flow/min-cut duality on graphs of at most 7 vertices with
+    capacities 0..9, self-loops and parallel edges."""
+    assert max_flow(graph) == _brute_force_min_cut(graph)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(sink=0), "distinct vertices"),
+        (dict(source=6), "distinct vertices"),
+        (dict(edges=((0, 1, 3), (1, 5, -1))), "negative endpoint or capacity"),
+        (dict(edges=((0, 1, 3), (-1, 5, 2))), "negative endpoint or capacity"),
+        (dict(edges=((0, 1, 3), (1, 6, 2))), "endpoint not below 6"),
+    ],
+)
+def test_max_flow_rejects_malformed_graphs(changes, message):
+    fields = dict(
+        vertex_count=6, edges=((0, 1, 3), (1, 5, 2)), source=0, sink=5, scale=1, infinite=6,
+    )
+    with pytest.raises(ValueError, match=message):
+        max_flow(oracle.FlowGraph(**{**fields, **changes}))
+
+
+def _reference_build_ifg(cfg, order):
+    """`build_ifg` as it was before its wiring was cached: the reference
+    that the cached wiring must reproduce edge for edge."""
+    nd, rp = cfg.nodes, cfg.repair
+    scale, alpha, beta_i, beta_c = oracle._scaled_bandwidths(cfg)
+    n, k = nd.n, nd.k
+
+    def orig_in(slot):
+        return 1 + 2 * slot
+
+    def orig_out(slot):
+        return 2 + 2 * slot
+
+    def new_in(i):
+        return 1 + 2 * n + 2 * i
+
+    def new_out(i):
+        return 2 + 2 * n + 2 * i
+
+    source = 0
+    sink = 2 * n + 2 * k + 1
+
+    def cluster_of(slot):
+        return slot // nd.R + 1 if slot < nd.L * nd.R else 0
+
+    finite = []
+    for slot in range(n):
+        finite.append((orig_in(slot), orig_out(slot), alpha))
+    occupant = {}
+    step_cluster = []
+    seen = {}
+    for i, label in enumerate(order.labels):
+        seen[label] = seen.get(label, 0) + 1
+        h = seen[label]
+        if label == 0:
+            slot = nd.L * nd.R + (h - 1)
+            want = rp.d
+        else:
+            slot = (label - 1) * nd.R + (h - 1)
+            for r in range(nd.R):
+                other = (label - 1) * nd.R + r
+                if other == slot:
+                    continue
+                step = occupant.get(other)
+                src = orig_out(other) if step is None else new_out(step)
+                finite.append((src, new_in(i), beta_i))
+            want = rp.d_cross
+        helpers = []
+        for j in range(i - 1, -1, -1):
+            if len(helpers) == want:
+                break
+            if label == 0 or step_cluster[j] != label:
+                helpers.append(new_out(j))
+        for other in range(n):
+            if len(helpers) == want:
+                break
+            if other == slot or other in occupant:
+                continue
+            if label != 0 and cluster_of(other) == label:
+                continue
+            helpers.append(orig_out(other))
+        assert len(helpers) == want
+        for src in helpers:
+            finite.append((src, new_in(i), beta_c))
+        finite.append((new_in(i), new_out(i), alpha))
+        occupant[slot] = i
+        step_cluster.append(label)
+
+    infinite = sum(c for _, _, c in finite) + 1
+    edges = list(finite)
+    for slot in range(n):
+        edges.append((source, orig_in(slot), infinite))
+    for i in range(k):
+        edges.append((new_out(i), sink, infinite))
+    return oracle.FlowGraph(
+        vertex_count=2 * n + 2 * k + 2,
+        edges=tuple(edges),
+        source=source,
+        sink=sink,
+        scale=scale,
+        infinite=infinite,
+    )
+
+
+def test_cached_wiring_matches_reference_graph():
+    """Every order of every tiny-family config and its E=2 analogue, and
+    the criterion-2 triples: the graph from the cached wiring equals the
+    reference graph edge for edge, on warm caches too."""
+    tiny = oracle.FAMILIES["tiny"]().configs
+    configs = dict.fromkeys(tiny + tuple(_with_separate(c, 2) for c in tiny))
+    assert {c.nodes.E for c in configs} == {0, 1, 2}
+    pairs = [
+        (config, order)
+        for config in configs
+        for dist in enumerate_distributions(config.nodes)
+        for order in enumerate_orders(dist)
+    ]
+    pairs += [(config, order) for config, _, order in sample_sweep_triples(1000, seed=0)]
+    for config, order in pairs:
+        assert build_ifg(config, order) == _reference_build_ifg(config, order)
+    assert oracle._ifg_wiring.cache_info().hits
+
+
+def test_rejected_order_is_rejected_on_every_call():
+    """Rejections are not cached: a bad order fails on its second call
+    too, after the layout's valid orders have filled the caches."""
+    one_separate = cfg(5, 3, 2, 2, 1, 3, 2, 1, 10)
+    for evaluate in (mincut, build_ifg):
+        evaluate(one_separate, ClusterOrder((1, 1, 0)))
+    rejected = {
+        (0, 0, 1): "order selects 2 separate nodes but E=1",
+        (1, 1, 1): "order selects 3 nodes from cluster 1 but R=2",
+        (1, 3, 1): r"cluster label exceeds L=2 in \(1, 3, 1\)",
+        (1, 1): "order has 2 entries, config has k=3",
+    }
+    for labels, message in rejected.items():
+        for evaluate in (mincut, build_ifg):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    evaluate(one_separate, ClusterOrder(labels))
+    # a wiring that cannot find its helpers (d_cross beyond any valid
+    # config) is refused on every call as well
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot find 5 helpers at repair step 1"):
+            oracle._ifg_wiring((1,), 1, 2, 2, 0, 1, 5)
+
+
 def test_graph_lower_bounds_formula_on_sampled_triples():
     """The explicit graph's true min-cut never exceeds the structured
     part-cut value, and they agree at every capacity-achieving pair."""
@@ -426,6 +625,80 @@ def test_lemma1_flags_planted_violation(monkeypatch, fresh_lemma1_verdicts):
     assert report.counterexample == (
         f"s=(0; 2, 2, 1) order={labels} intra multiset {bag} != {reference}"
     )
+
+
+@pytest.fixture
+def fresh_constructed_verdicts():
+    """A planted coefficient or verdict must not leave its text in the
+    Lemma 2 and Theorem 4 caches."""
+    for cached in (oracle._lemma2_counterexample, oracle._thm4_counterexample):
+        cached.cache_clear()
+    yield
+    for cached in (oracle._lemma2_counterexample, oracle._thm4_counterexample):
+        cached.cache_clear()
+
+
+def _alpha_variants(config, alphas):
+    nd, rp = config.nodes, config.repair
+    return tuple(
+        cfg(nd.n, nd.k, nd.L, nd.R, nd.E, rp.d_cross, rp.beta_intra, rp.beta_cross, a)
+        for a in alphas
+    )
+
+
+def test_lemma2_flags_planted_violation(monkeypatch, fresh_constructed_verdicts):
+    """A changed coefficient at position 2 of the constructed sequence is
+    reported, and the cached verdict serves every alpha of the layout."""
+    calls = []
+    real = oracle.incoming_coefficients
+
+    def planted(d_intra, d_cross, order):
+        calls.append(order)
+        (a1, b1, s1), (a2, b2, s2), *rest = real(d_intra, d_cross, order)
+        return ((a1, b1, s1), (a2 + 1, b2, s2), *rest)
+
+    _, order = capacity_achiever(PLANTED)
+    (a, b, _) = real(1, 4, order)[1]
+    assert a + b == 4
+    monkeypatch.setattr(oracle, "incoming_coefficients", planted)
+    configs = _alpha_variants(PLANTED, (Fraction(5, 2), 3, 100))
+    family = VerificationFamily(name="planted", configs=configs, claims=("lemma2-sum",))
+    reports = verify_claims(family)
+    assert calls == [order]
+    assert [r.passed for r in reports] == [False] * 3
+    assert {r.counterexample for r in reports} == {f"position 2 of {order}: {a + 1}+{b} != 4"}
+
+
+def test_thm4_flags_planted_violation(monkeypatch, fresh_constructed_verdicts):
+    """A flipped comparison verdict is reported, and the cached verdict
+    serves every alpha of the layout and bandwidths."""
+    calls = []
+    real = oracle.compare_separate
+
+    def flipped(nodes, repair):
+        calls.append(repair)
+        verdict = real(nodes, repair)
+        outcome = (
+            oracle.Outcome.REDUCED
+            if verdict.outcome is oracle.Outcome.EQUAL
+            else oracle.Outcome.EQUAL
+        )
+        return type(verdict)(outcome, verdict.capacity_without, verdict.capacity_with)
+
+    monkeypatch.setattr(oracle, "compare_separate", flipped)
+    base = cfg(6, 5, 3, 2, 0, 4, Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))
+    configs = _alpha_variants(base, (Fraction(5, 2), 1, 100))
+    family = VerificationFamily(name="planted", configs=configs, claims=("thm4-dichotomy",))
+    reports = verify_claims(family)
+    (uncapped,) = calls
+    weights = oracle.cluster_weight_values(5, 2, 4, Fraction(3, 2), Fraction(1, 3))
+    assert uncapped.alpha == sum(weights) + 1
+    verdict = real(base.nodes, uncapped)
+    assert [r.passed for r in reports] == [False] * 3
+    assert {r.counterexample for r in reports} == {
+        f"expected Reduced (k=5, R=2), got Equal: without={verdict.capacity_without} "
+        f"with={verdict.capacity_with}"
+    }
 
 
 def _families_for_context_check():
