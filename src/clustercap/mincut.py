@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ClusterOrder, Record, SystemConfig, _scaled_bandwidths
+from .model import ClusterOrder, Record, SystemConfig, _packed, _scaled_bandwidths
 
 WeightVector = tuple[Fraction, ...]
 
@@ -110,18 +110,20 @@ def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> No
 @lru_cache(maxsize=16384)
 def _order_coefficients(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
-) -> tuple[int, ...]:
-    """(a_1, b_1, ..., a_k, b_k): the beta_intra and beta_cross
+) -> bytes | tuple[int, ...]:
+    """(a_1, b_1, ..., a_k, b_k), packed: the beta_intra and beta_cross
     coefficients of each position of a repair sequence, once `labels` is
     checked against the layout.  A rejected sequence caches nothing, so
     it is rejected again on every call."""
     _check_labels(labels, k, L, R, E)
-    return tuple(
-        x for a, b, _ in _coefficients(labels, 0, d_intra, d_cross) for x in (a, b)
+    return _packed(
+        [x for a, b, _ in _coefficients(labels, 0, d_intra, d_cross) for x in (a, b)]
     )
 
 
-def _checked_coefficients(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, ...]:
+def _checked_coefficients(
+    cfg: SystemConfig, order: ClusterOrder
+) -> bytes | tuple[int, ...]:
     """_order_coefficients of `order` under the layout and helper counts
     of `cfg`."""
     nd, rp = cfg.nodes, cfg.repair

@@ -272,6 +272,15 @@ def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
     )
 
 
+def _packed(values: list[int]) -> bytes | tuple[int, ...]:
+    """`values` as an immutable sequence for a cache entry: bytes, one
+    byte per value, when every value is below 256, else a tuple."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return tuple(values)
+
+
 class SelectedNodeDistribution(Record):
     """How the k collector nodes spread over clusters: `separate` of them
     are separate nodes, clusters[i] sit in cluster i+1 (counts

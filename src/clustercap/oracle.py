@@ -36,6 +36,7 @@ from .model import (
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
+    _packed,
     _scaled_bandwidths,
     enumerate_distributions,
     order_count,
@@ -166,9 +167,10 @@ _ALPHA, _BETA_INTRA, _BETA_CROSS, _INFINITE = range(4)
 @lru_cache(maxsize=4096)
 def _ifg_wiring(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
-) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+) -> tuple[bytes | tuple[int, ...], bytes | tuple[int, ...], bytes]:
     """(tails, heads, kinds) of the edges of the flow graph of a repair
-    sequence, in `build_ifg`'s edge order; kinds holds one byte per edge.
+    sequence, in `build_ifg`'s edge order, packed; kinds holds one byte
+    per edge.
 
     Vertices: 0 is the source; original slot m has input 1 + 2m and output
     2 + 2m; newcomer step i has input 1 + 2n + 2i and output 2 + 2n + 2i;
@@ -235,7 +237,7 @@ def _ifg_wiring(
         edge(0, 1 + 2 * slot, _INFINITE)
     for i in range(k):
         edge(new + 1 + 2 * i, 2 * n + 2 * k + 1, _INFINITE)
-    return tuple(tails), tuple(heads), bytes(kinds)
+    return _packed(tails), _packed(heads), bytes(kinds)
 
 
 def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
@@ -397,7 +399,9 @@ def sweep_alpha_values(
     k: int, R: int, E: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> list[Fraction]:
     """Zero, every sorted-weight boundary, and the saturation point."""
-    # past the weights' cache: the grid is built once per family
+    # past the weights' cache: the default sweep_configs() grid would put
+    # 796 Fraction-keyed entries there, about 480 KB (tracemalloc), which
+    # no checker reads again, since the checkers pass integer bandwidths
     values = weight_values.__wrapped__(k, E, R, d_cross, beta_intra, beta_cross)
     grid = {Fraction(0), sum(values, start=Fraction(0))}
     grid.update(values)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from clustercap import _kernel_py, oracle
 from clustercap.capacity import capacity_achiever, system_capacity
-from clustercap.mincut import CutReport, mincut
+from clustercap.mincut import CutReport, incoming_coefficients, mincut, part_incoming_weights
 from clustercap.model import (
     ClusterOrder,
     NodeParams,
@@ -288,9 +288,10 @@ def _reference_build_ifg(cfg, order):
 
 
 def test_cached_wiring_matches_reference_graph():
-    """Every order of every tiny-family config and its E=2 analogue, and
-    the criterion-2 triples: the graph from the cached wiring equals the
-    reference graph edge for edge, on warm caches too."""
+    """Every order of every tiny-family config and its E=2 analogue, the
+    criterion-2 triples and two layouts too wide for bytes: the graph from
+    the cached wiring equals the reference graph edge for edge, on warm
+    caches too."""
     tiny = oracle.FAMILIES["tiny"]().configs
     configs = dict.fromkeys(tiny + tuple(_with_separate(c, 2) for c in tiny))
     assert {c.nodes.E for c in configs} == {0, 1, 2}
@@ -301,6 +302,16 @@ def test_cached_wiring_matches_reference_graph():
         for order in enumerate_orders(dist)
     ]
     pairs += [(config, order) for config, _, order in sample_sweep_triples(1000, seed=0)]
+    # too wide for a byte per value, so the cached entries are tuples:
+    # 278 vertices, and coefficients up to 301
+    for wide in (cfg(128, 10, 12, 10, 8, 4, 2, 1, 10), cfg(304, 3, 2, 2, 300, 300, 2, 1, 10)):
+        _, order = capacity_achiever(wide)
+        pairs.append((wide, order))
+        rp = wide.repair
+        assert part_incoming_weights(wide, order) == tuple(
+            a * rp.beta_intra + b * rp.beta_cross
+            for a, b, _ in incoming_coefficients(rp.d_intra, rp.d_cross, order)
+        )
     for config, order in pairs:
         assert build_ifg(config, order) == _reference_build_ifg(config, order)
     assert oracle._ifg_wiring.cache_info().hits
