@@ -35,8 +35,10 @@ the first minimum (the search), and the first cut below a bound for its
 separate position (Theorem 1's check).  The first profile that meets such
 a test is the first of its class, since every earlier member would meet
 it too; so scanning the classes in the order of their representatives
-finds the same profile.  Each interval's classes are built when first
-asked for and cached per (distribution, bandwidths, interval).
+finds the same profile.  Each interval's classes live in a slot of
+their (distribution, bandwidths) key's `_weighted_profiles` entry,
+filled on first use; they are a deterministic function of that entry,
+which is why sharing the mutable slot is safe.
 """
 
 from __future__ import annotations
@@ -148,50 +150,24 @@ def _weighted_profiles(
     d_cross: int,
     beta_intra: int,
     beta_cross: int,
-) -> tuple[tuple[_Row, ...], tuple[int, ...]]:
-    """(rows, bounds) of a distribution under scaled bandwidths.
+) -> tuple[tuple[_Row, ...], tuple[int, ...], list]:
+    """(rows, bounds, classes) of a distribution under scaled bandwidths.
 
     rows is ((first separate position, sorted weights, representative),
     ...) in scan order, one per distinct (first separate position, sorted
     weights): the first profile of each, since the rest share its cut at
     every alpha.  The position is 0-based, -1 when s0 is 0.  bounds is the
-    sorted distinct weights of every row.
+    sorted distinct weights of every row.  classes has one slot per alpha
+    interval, bisect_right(bounds, alpha): None until `profile_cuts`
+    first scans the interval and stores its classes there.
     """
     rows: dict = {}
     for coeffs, labels in distribution_profiles(s0, clusters, d_intra, d_cross):
         weights = tuple(sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs))
         rows.setdefault((labels.index(0) if s0 else -1, weights), labels)
     bounds = tuple(sorted({w for _, weights in rows for w in weights}))
-    return tuple((j, weights, labels) for (j, weights), labels in rows.items()), bounds
-
-
-@lru_cache(maxsize=40960)
-def _cut_classes(
-    s0: int,
-    clusters: tuple[int, ...],
-    d_intra: int,
-    d_cross: int,
-    beta_intra: int,
-    beta_cross: int,
-    interval: int,
-) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """((s, k - t, representative), ...) of the cut classes of alpha
-    interval `interval` of `_weighted_profiles`, in scan order.
-
-    For every alpha with bisect_right(bounds, alpha) == interval, a row's
-    weights up to alpha are those up to bounds[interval - 1] (none when
-    interval is 0): t of them, summing to s, so its cut is
-    s + alpha * (k - t).  A class is the rows with the same (first
-    separate position, t, s); it keeps the first of them.
-    """
-    rows, bounds = _weighted_profiles(s0, clusters, d_intra, d_cross, beta_intra, beta_cross)
-    k = s0 + sum(clusters)
-    bound = bounds[interval - 1] if interval else -1
-    classes: dict = {}
-    for j, weights, labels in rows:
-        t = bisect_right(weights, bound)
-        classes.setdefault((j, t, sum(weights[:t])), labels)
-    return tuple((s, k - t, labels) for (_, t, s), labels in classes.items())
+    classes = [None] * (len(bounds) + 1)
+    return tuple((j, weights, labels) for (j, weights), labels in rows.items()), bounds, classes
 
 
 def profile_cuts(
@@ -206,15 +182,23 @@ def profile_cuts(
     """(sum(min(alpha, w_i)), representative order) of each cut class of
     the distribution at alpha, in scan order.
 
-    Every profile of a class has the class's cut and first separate
-    position, and the representative is the class's first profile.  All
-    bandwidth arguments are pre-scaled non-negative integers.
+    On alpha's interval a row's weights up to alpha are those up to the
+    lower bound (none on interval 0): t of them, summing to s.  A class
+    is the rows with the same (first separate position, t, s), kept as
+    (s, k - t, first row's representative).  All bandwidth arguments are
+    pre-scaled non-negative integers.
     """
-    _, bounds = _weighted_profiles(s0, clusters, d_intra, d_cross, beta_intra, beta_cross)
+    rows, bounds, classes = _weighted_profiles(
+        s0, clusters, d_intra, d_cross, beta_intra, beta_cross
+    )
     interval = bisect_right(bounds, alpha)
-    return [
-        (s + alpha * free, labels)
-        for s, free, labels in _cut_classes(
-            s0, clusters, d_intra, d_cross, beta_intra, beta_cross, interval
-        )
-    ]
+    table = classes[interval]
+    if table is None:
+        k = s0 + sum(clusters)
+        bound = bounds[interval - 1] if interval else -1
+        first: dict = {}
+        for j, weights, labels in rows:
+            t = bisect_right(weights, bound)
+            first.setdefault((j, t, sum(weights[:t])), labels)
+        table = classes[interval] = tuple((s, k - t, labels) for (_, t, s), labels in first.items())
+    return [(s + alpha * free, labels) for s, free, labels in table]

@@ -88,7 +88,7 @@ def cluster_weight_values(
     q = k // R
     m = q + 1
     first = m * (k - q * R)
-    w = [Fraction(0)] * k
+    w = [0] * k
     for i in range(1, k + 1):
         if i <= first:
             c = _ceil_div(i, m)

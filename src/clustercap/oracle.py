@@ -392,6 +392,12 @@ class VerificationFamily(Record):
         object.__setattr__(self, "claims", claims)
 
 
+# the standard verification grid, read by `sweep_configs`' defaults and
+# drawn from by `sample_sweep_triples`
+SWEEP_L_VALUES = (2, 3)
+SWEEP_R_VALUES = (2, 3, 4)
+SWEEP_E_VALUES = (0, 1)
+SWEEP_K_MAX = 9
 SWEEP_BETA_PAIRS = ((1, 1), (2, 1), (3, 1), (3, 2))
 
 
@@ -409,10 +415,10 @@ def sweep_alpha_values(
 
 
 def sweep_configs(
-    L_values=(2, 3),
-    R_values=(2, 3, 4),
-    E_values=(0, 1),
-    k_max: int = 9,
+    L_values=SWEEP_L_VALUES,
+    R_values=SWEEP_R_VALUES,
+    E_values=SWEEP_E_VALUES,
+    k_max: int = SWEEP_K_MAX,
     beta_pairs=SWEEP_BETA_PAIRS,
 ) -> list[SystemConfig]:
     """The standard verification grid: every valid d_cross for each node
@@ -449,7 +455,9 @@ class _EvaluationContext:
     that its owners cache across configs and calls under keys without
     alpha: the distributions per node layout (`model`), the coefficient
     profiles and Lemma 1's verdict per (separate count, cluster counts,
-    d_intra, d_cross) (`_kernel_py`), the horizontal selection, the
+    d_intra, d_cross) and the weighted profiles per that key and the
+    scaled bandwidths, in whose entry each alpha interval's cut classes
+    are filled on first use (`_kernel_py`), the horizontal selection, the
     vertical order and the pinned-separate order per layout, distribution
     or position (`sequencing`), the checked coefficient pairs of an order
     per (labels, layout, d_intra, d_cross) (`mincut`), the sorted weights
@@ -760,11 +768,11 @@ def sample_sweep_triples(count: int, seed: int = 0):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        L = rng.choice((2, 3))
-        R = rng.choice((2, 3, 4))
-        E = rng.choice((0, 1))
+        L = rng.choice(SWEEP_L_VALUES)
+        R = rng.choice(SWEEP_R_VALUES)
+        E = rng.choice(SWEEP_E_VALUES)
         n = L * R + E
-        k = rng.randint(2, min(9, n - 1))
+        k = rng.randint(2, min(SWEEP_K_MAX, n - 1))
         d_cross = rng.randint(max(0, k - R + 1), n - R)
         bi, bc = rng.choice(SWEEP_BETA_PAIRS)
         alpha = rng.choice(

@@ -207,14 +207,53 @@ def test_profile_search_needs_no_recursion_per_position():
 
 def test_profile_caches_expose_lru_controls():
     """perfbench reads `cache_info` of both profile caches and clears them
-    between cold samples."""
+    between cold samples; clearing `_weighted_profiles` also drops the
+    interval classes, so the next scan builds them again."""
     for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
         cached.cache_clear()
         assert cached.cache_info().currsize == 0
-    list(_kernel_py.profile_cuts(1, (2, 1), 1, 3, 4, 2, 1))
+    key, alpha, betas = (1, (2, 1), 1, 3), 4, (2, 1)
+    cuts = _kernel_py.profile_cuts(*key, alpha, *betas)
     for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
         info = cached.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+    _, bounds, classes = _kernel_py._weighted_profiles(*key, *betas)
+    interval = bisect_right(bounds, alpha)
+    table = classes[interval]
+    assert table is not None
+    assert [slot for slot in classes if slot is not None] == [table]
+    _kernel_py._weighted_profiles.cache_clear()
+    assert _kernel_py.profile_cuts(*key, alpha, *betas) == cuts
+    info = _kernel_py._weighted_profiles.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    rebuilt = _kernel_py._weighted_profiles(*key, *betas)[2][interval]
+    assert rebuilt == table and rebuilt is not table
+
+
+def test_interval_classes_do_not_depend_on_fill_order():
+    """On every distinct sweep key at E <= 2, under the sweep bandwidth
+    pairs in turn: the class tables that one warm entry fills in
+    descending alpha order equal those that a freshly cleared entry
+    builds for each interval alone, and a scan fills only its own slot."""
+    weighted = _kernel_py._weighted_profiles
+    checked = 0
+    for index, key in enumerate(sorted(_sweep_keys())):
+        betas = SWEEP_BETA_PAIRS[index % len(SWEEP_BETA_PAIRS)]
+        weighted.cache_clear()
+        _, bounds, classes = weighted(*key, *betas)
+        alphas = sorted({0, *bounds}, reverse=True)
+        for alpha in alphas:
+            _kernel_py.profile_cuts(*key, alpha, *betas)
+        for alpha in alphas:
+            interval = bisect_right(bounds, alpha)
+            weighted.cache_clear()
+            _kernel_py.profile_cuts(*key, alpha, *betas)
+            fresh = weighted(*key, *betas)[2]
+            assert classes[interval] is not None
+            assert fresh[interval] == classes[interval], (key, betas, alpha)
+            assert sum(slot is not None for slot in fresh) == 1
+            checked += 1
+    assert checked > 10_000
 
 
 def test_every_cache_is_bounded_with_lru_controls(structural_caches):
@@ -229,7 +268,6 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "_kernel_py.distribution_profiles",
         "_kernel_py.intra_multiset_mismatch",
         "_kernel_py._weighted_profiles",
-        "_kernel_py._cut_classes",
         "mincut._order_coefficients",
         "capacity.weight_values",
         "oracle._ifg_wiring",
