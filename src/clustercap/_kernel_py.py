@@ -39,6 +39,10 @@ finds the same profile.  Each interval's classes live in a slot of
 their (distribution, bandwidths) key's `_weighted_profiles` entry,
 filled on first use; they are a deterministic function of that entry,
 which is why sharing the mutable slot is safe.
+
+Both caches store their integers packed (`model._packed`): one flat
+sequence per entry, k values a row, bytes while every value is below
+256, with the representatives kept once and shared by reference.
 """
 
 from __future__ import annotations
@@ -47,28 +51,30 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from .mincut import _coefficient
+from .model import _packed
 
-# (first separate position, sorted weights, representative)
-_Row = tuple[int, tuple[int, ...], tuple[int, ...]]
+# a model._packed sequence of ints
+_Packed = bytes | tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
 def distribution_profiles(
     s0: int, clusters: tuple[int, ...], d_intra: int, d_cross: int
-) -> tuple[tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...]], ...]:
+) -> tuple[_Packed, tuple[tuple[int, ...], ...]]:
     """Distinct coefficient profiles of a distribution, in scan order.
 
-    Returns ((coeffs, representative_order), ...) where coeffs is a tuple
-    of (intra_coeff, cross_coeff, is_separate) per position and the
-    representative is the first sequence (original labels, 0 = separate)
-    producing that profile.
+    Returns (pairs, representatives).  pairs is every profile's
+    (intra_coeff, cross_coeff) per position, 2k values a profile, packed;
+    representatives[p] is the first sequence (original labels, 0 =
+    separate) producing profile p.  A position is separate exactly where
+    its label is 0.
 
     Built by the pruned depth-first search of the module docstring, with
     an explicit stack so that k bounds no recursion depth.  A state is
     the per-label used counts plus the id of its profile prefix, interned
-    as (parent id, coefficient); the search expands each state once and
-    skips a twin cluster, so every profile is emitted through its first
-    sequence in scan order, as a walk over every sequence would.
+    as (parent id, (a, b), is_separate); the search expands each state
+    once and skips a twin cluster, so every profile is emitted through its
+    first sequence in scan order, as a walk over every sequence would.
     """
     sizes = clusters + (s0,)
     sep = len(clusters)
@@ -81,45 +87,45 @@ def distribution_profiles(
     ids: dict = {}
     expanded = set()
     path: list[int] = []
-    coeffs: list = []
+    prefix: list[int] = []  # the (a, b) pairs of the path
     pids: list[int] = []
     pid = -1
-    out = []
+    pairs: list[int] = []
+    representatives = []
     c = 0  # the next label index to try at the current depth
     while True:
         while c < n and (used[c] == sizes[c] or (twin[c] and used[c - 1] == used[c])):
             c += 1
         if c == n:  # every label tried here: back up and try the next one
             if not path:
-                return tuple(out)
+                return _packed(pairs), tuple(representatives)
             c = path.pop()
             used[c] -= 1
-            coeffs.pop()
+            del prefix[-2:]
             pid = pids.pop()
             c += 1
             continue
         i = len(path) + 1
         h = used[c] + 1
         key = (i, h, c == sep)
-        coeff = coefficient.get(key)
-        if coeff is None:
-            coeff = coefficient[key] = _coefficient(i, h, c == sep, d_intra, d_cross)
-        child = ids.setdefault((pid, coeff), len(ids))
+        pair = coefficient.get(key)
+        if pair is None:
+            pair = coefficient[key] = _coefficient(i, h, c == sep, d_intra, d_cross)[:2]
+        child = ids.setdefault((pid, pair, c == sep), len(ids))
         used[c] = h
         state = (tuple(used), child)
         if state not in expanded:
             expanded.add(state)
             if i < k:
                 path.append(c)
-                coeffs.append(coeff)
+                prefix += pair
                 pids.append(pid)
                 pid = child
                 c = 0
                 continue
-            out.append((
-                tuple(coeffs) + (coeff,),
-                tuple(names[x] for x in path) + (names[c],),
-            ))
+            pairs += prefix
+            pairs += pair
+            representatives.append(tuple(names[x] for x in path) + (names[c],))
         used[c] -= 1
         c += 1
 
@@ -132,9 +138,11 @@ def intra_multiset_mismatch(
     the same sorted intra coefficients, else (representative order, its
     sorted intra coefficients, the first profile's) of the first profile
     in scan order that differs."""
+    pairs, representatives = distribution_profiles(s0, clusters, d_intra, d_cross)
+    step = 2 * (s0 + sum(clusters))
     reference = None
-    for coeffs, labels in distribution_profiles(s0, clusters, d_intra, d_cross):
-        bag = tuple(sorted(a for a, _, _ in coeffs))
+    for p, labels in enumerate(representatives):
+        bag = tuple(sorted(pairs[step * p : step * (p + 1) : 2]))
         if reference is None:
             reference = bag
         elif bag != reference:
@@ -150,24 +158,32 @@ def _weighted_profiles(
     d_cross: int,
     beta_intra: int,
     beta_cross: int,
-) -> tuple[tuple[_Row, ...], tuple[int, ...], list]:
+) -> tuple[tuple[_Packed, _Packed, tuple[tuple[int, ...], ...]], tuple[int, ...], list]:
     """(rows, bounds, classes) of a distribution under scaled bandwidths.
 
-    rows is ((first separate position, sorted weights, representative),
-    ...) in scan order, one per distinct (first separate position, sorted
-    weights): the first profile of each, since the rest share its cut at
-    every alpha.  The position is 0-based, -1 when s0 is 0.  bounds is the
-    sorted distinct weights of every row.  classes has one slot per alpha
-    interval, bisect_right(bounds, alpha): None until `profile_cuts`
-    first scans the interval and stores its classes there.
+    rows is (positions, weights, representatives), one row per distinct
+    (first separate position, sorted weights) in scan order: the first
+    profile of each, since the rest share its cut at every alpha.
+    positions holds each row's 0-based first separate position (0 for
+    every row when s0 is 0), weights each row's k sorted weights in turn,
+    both packed, and representatives each row's representative, the same
+    tuple as in `distribution_profiles`.  bounds is the sorted distinct
+    weights of every row.  classes has one slot per alpha interval,
+    bisect_right(bounds, alpha): None until `profile_cuts` first scans
+    the interval and stores its classes there.
     """
+    pairs, representatives = distribution_profiles(s0, clusters, d_intra, d_cross)
+    k = s0 + sum(clusters)
+    it = iter(pairs)
+    unsorted = [a * beta_intra + b * beta_cross for a, b in zip(it, it)]
     rows: dict = {}
-    for coeffs, labels in distribution_profiles(s0, clusters, d_intra, d_cross):
-        weights = tuple(sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs))
-        rows.setdefault((labels.index(0) if s0 else -1, weights), labels)
-    bounds = tuple(sorted({w for _, weights in rows for w in weights}))
-    classes = [None] * (len(bounds) + 1)
-    return tuple((j, weights, labels) for (j, weights), labels in rows.items()), bounds, classes
+    for p, labels in enumerate(representatives):
+        weights = tuple(sorted(unsorted[k * p : k * (p + 1)]))
+        rows.setdefault((labels.index(0) if s0 else 0, weights), labels)
+    flat = [w for _, weights in rows for w in weights]
+    bounds = tuple(sorted(set(flat)))
+    packed = _packed([j for j, _ in rows]), _packed(flat), tuple(rows.values())
+    return packed, bounds, [None] * (len(bounds) + 1)
 
 
 def profile_cuts(
@@ -194,11 +210,14 @@ def profile_cuts(
     interval = bisect_right(bounds, alpha)
     table = classes[interval]
     if table is None:
+        positions, weights, representatives = rows
         k = s0 + sum(clusters)
         bound = bounds[interval - 1] if interval else -1
         first: dict = {}
-        for j, weights, labels in rows:
-            t = bisect_right(weights, bound)
-            first.setdefault((j, t, sum(weights[:t])), labels)
+        lo = 0
+        for j, labels in zip(positions, representatives):
+            t = bisect_right(weights, bound, lo, lo + k)
+            first.setdefault((j, t - lo, sum(weights[lo:t])), labels)
+            lo += k
         table = classes[interval] = tuple((s, k - t, labels) for (_, t, s), labels in first.items())
     return [(s + alpha * free, labels) for s, free, labels in table]

@@ -3,7 +3,9 @@ over every sequence, the pruned profile search must match a walk over
 every permutation, the scan over cut classes must match a scan over every
 profile, and exact integers must carry huge rationals."""
 
+import gc
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
@@ -14,6 +16,7 @@ from clustercap.mincut import _coefficients, mincut
 from clustercap.model import (
     NodeParams,
     _multiset_permutations,
+    _packed,
     enumerate_distributions,
     enumerate_orders,
     validate_config,
@@ -107,6 +110,17 @@ def _sweep_keys():
     }
 
 
+def _walk_layout(walked):
+    """`_walked_profiles` in the layout of `distribution_profiles`: the
+    packed (a, b) of every profile in turn, and the representatives.  The
+    walk's separate flags must be exactly the positions labelled 0, the
+    flags that layout drops."""
+    for coeffs, labels in walked:
+        assert tuple(sep for _, _, sep in coeffs) == tuple(x == 0 for x in labels), labels
+    pairs = [x for coeffs, _ in walked for a, b, _ in coeffs for x in (a, b)]
+    return _packed(pairs), tuple(labels for _, labels in walked)
+
+
 def test_profile_search_matches_permutation_walk():
     """Same profiles, same representatives, same order as the walk over
     every permutation: on each distinct key of the sweep at E <= 2, on
@@ -124,16 +138,20 @@ def test_profile_search_matches_permutation_walk():
     }
     search = _kernel_py.distribution_profiles.__wrapped__
     for key in sorted(keys):
-        assert search(*key) == _walked_profiles(*key), key
+        assert search(*key) == _walk_layout(_walked_profiles(*key)), key
 
 
 def _scanned_profiles(key, beta_intra, beta_cross):
     """Reference for the cut classes: (sorted weights, prefix sums,
     representative) of every profile of `key`, in scan order, for
     `_profile_scan`."""
+    pairs, representatives = _kernel_py.distribution_profiles(*key)
+    step = 2 * (key[0] + sum(key[1]))
     rows = []
-    for coeffs, labels in _kernel_py.distribution_profiles(*key):
-        weights = sorted(a * beta_intra + b * beta_cross for a, b, _ in coeffs)
+    for p, labels in enumerate(representatives):
+        profile = pairs[step * p : step * (p + 1)]
+        a, b = profile[::2], profile[1::2]
+        weights = sorted(x * beta_intra + y * beta_cross for x, y in zip(a, b))
         prefix = [0]
         for w in weights:
             prefix.append(prefix[-1] + w)
@@ -157,42 +175,118 @@ def _first_below(cuts, thresholds):
     return next(((v, o) for v, o in cuts if v < thresholds[o.index(0)]), None)
 
 
+def _check_cut_classes(key, betas):
+    """At alpha = 0, at each weight bound, between bounds and above the
+    last one: the cut classes of `key` under `betas` give the first
+    minimum of a per-profile scan, and for one separate node the first
+    cut below a per-position threshold.  Returns the alphas checked."""
+    s0, clusters = key[:2]
+    k = s0 + sum(clusters)
+    rows = _scanned_profiles(key, *betas)
+    positions = [labels.index(0) for _, _, labels in rows] if s0 == 1 else None
+    bounds = sorted({w for weights, _, _ in rows for w in weights})
+    alphas = {0, bounds[-1] + 1}
+    alphas.update(bounds)
+    alphas.update((x + y) // 2 for x, y in zip(bounds, bounds[1:]))
+    for alpha in sorted(alphas):
+        reference = _profile_scan(rows, k, alpha)
+        got = _kernel_py.profile_cuts(*key, alpha, *betas)
+        assert min(got, key=itemgetter(0)) == min(reference, key=itemgetter(0))
+        if s0 != 1:
+            continue
+        # the separate node takes every position in some order
+        least, most = {}, {}
+        for (v, _), j in zip(reference, positions):
+            least[j] = min(v, least.get(j, v))
+            most[j] = max(v, most.get(j, v))
+        lowest = [least[j] + 1 for j in range(k)]
+        highest = [most[j] for j in range(k)]
+        mixed = [lowest[j] if j % 2 else highest[j] for j in range(k)]
+        for thresholds in (lowest, highest, mixed):
+            assert _first_below(got, thresholds) == _first_below(reference, thresholds)
+    return len(alphas)
+
+
 def test_cut_classes_match_a_scan_over_every_profile():
     """On every distinct sweep key at E <= 2 under each sweep bandwidth
-    pair, at alpha = 0, at each weight bound, between bounds and above the
-    last one: the cut classes give the first minimum of a per-profile scan,
-    and for one separate node the first cut below a per-position threshold.
-    The bandwidths are doubled so that the midpoints are integers."""
+    pair, the cut classes match a scan over every profile
+    (`_check_cut_classes`).  The bandwidths are doubled so that the
+    midpoints are integers."""
     checked = 0
     for key in sorted(_sweep_keys()):
-        s0, clusters = key[:2]
-        k = s0 + sum(clusters)
         for bi, bc in SWEEP_BETA_PAIRS:
-            betas = (2 * bi, 2 * bc)
-            rows = _scanned_profiles(key, *betas)
-            positions = [labels.index(0) for _, _, labels in rows] if s0 == 1 else None
-            bounds = sorted({w for weights, _, _ in rows for w in weights})
-            alphas = {0, bounds[-1] + 1}
-            alphas.update(bounds)
-            alphas.update((x + y) // 2 for x, y in zip(bounds, bounds[1:]))
-            for alpha in sorted(alphas):
-                reference = _profile_scan(rows, k, alpha)
-                got = _kernel_py.profile_cuts(*key, alpha, *betas)
-                assert min(got, key=itemgetter(0)) == min(reference, key=itemgetter(0))
-                checked += 1
-                if s0 != 1:
-                    continue
-                # the separate node takes every position in some order
-                least, most = {}, {}
-                for (v, _), j in zip(reference, positions):
-                    least[j] = min(v, least.get(j, v))
-                    most[j] = max(v, most.get(j, v))
-                lowest = [least[j] + 1 for j in range(k)]
-                highest = [most[j] for j in range(k)]
-                mixed = [lowest[j] if j % 2 else highest[j] for j in range(k)]
-                for thresholds in (lowest, highest, mixed):
-                    assert _first_below(got, thresholds) == _first_below(reference, thresholds)
+            checked += _check_cut_classes(key, (2 * bi, 2 * bc))
     assert checked > 50_000
+
+
+def test_scaled_scan_takes_the_tuple_path():
+    """Weights of 256 or more do not fit the packed bytes: scaling alpha
+    and both bandwidths by m = 300 stores the sweep keys' weights as
+    tuples, and every cut class keeps its representative while its cut
+    scales by m."""
+    m = 300
+    keys = sorted(_sweep_keys())[::40]
+    assert len(keys) > 30
+    for index, key in enumerate(keys):
+        bi, bc = SWEEP_BETA_PAIRS[index % len(SWEEP_BETA_PAIRS)]
+        (_, weights, _), bounds, _ = _kernel_py._weighted_profiles(*key, bi, bc)
+        (_, scaled, _), _, _ = _kernel_py._weighted_profiles(*key, m * bi, m * bc)
+        assert type(weights) is bytes and type(scaled) is tuple
+        assert scaled == tuple(m * w for w in weights)
+        for alpha in sorted({0, *bounds, bounds[-1] + 1}):
+            cuts = _kernel_py.profile_cuts(*key, alpha, bi, bc)
+            scaled_cuts = _kernel_py.profile_cuts(*key, m * alpha, m * bi, m * bc)
+            assert scaled_cuts == [(m * v, labels) for v, labels in cuts], (key, alpha)
+
+
+def test_large_coefficients_take_the_tuple_path():
+    """A helper count of 300 puts coefficients of 256 or more in the
+    profiles, so the profiles and the rows are tuples; the search still
+    matches the walk and the cut classes a scan over every profile."""
+    for key in ((1, (2, 1), 2, 300), (0, (2, 2), 1, 299), (2, (1,), 0, 280)):
+        profiles = _kernel_py.distribution_profiles(*key)
+        assert type(profiles[0]) is tuple and max(profiles[0]) >= 256
+        assert profiles == _walk_layout(_walked_profiles(*key)), key
+        _, weights, _ = _kernel_py._weighted_profiles(*key, 2, 2)[0]
+        assert type(weights) is tuple
+        assert _check_cut_classes(key, (2, 2)) > 2
+
+
+def test_sweep_entries_are_packed_as_bytes():
+    """Every sweep key at E <= 2 keeps its profiles as bytes, and under
+    each sweep bandwidth pair its row positions and weights too, so a
+    later change cannot silently store them as tuples again."""
+    for key in sorted(_sweep_keys()):
+        assert type(_kernel_py.distribution_profiles(*key)[0]) is bytes, key
+        for betas in SWEEP_BETA_PAIRS:
+            positions, weights, _ = _kernel_py._weighted_profiles(*key, *betas)[0]
+            assert (type(positions), type(weights)) == (bytes, bytes), (key, betas)
+
+
+def test_profile_caches_stay_packed_in_memory():
+    """The two profile caches, filled with the 392 keys of the L=3, R=4,
+    E=1 sweep layouts under bandwidths (2, 1), retain at most half of
+    the 7,987,184 bytes (tracemalloc) that they held when each profile
+    and each row was a tuple of its own; packed they hold about 2.8 MB."""
+    keys = sorted({
+        (dist.separate, dist.clusters, cfg.repair.d_intra, cfg.repair.d_cross)
+        for cfg in sweep_configs(L_values=(3,), R_values=(4,), E_values=(1,))
+        for dist in enumerate_distributions(cfg.nodes)
+    })
+    assert len(keys) == 392
+    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
+        cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            _kernel_py._weighted_profiles(*key, 2, 1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 7_987_184 // 2, retained
 
 
 def test_profile_search_needs_no_recursion_per_position():

@@ -616,24 +616,29 @@ def test_lemma1_flags_planted_violation(monkeypatch, fresh_lemma1_verdicts):
     (dist,) = [d for d in enumerate_distributions(PLANTED.nodes) if d.separate == 0]
     rp = PLANTED.repair
     real = profiles(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)
-    assert len(real) > 2
-    planted_at = (1, len(real) - 1)
+    step = 2 * dist.k
+    assert len(real[1]) > 2
+    planted_at = (1, len(real[1]) - 1)
 
     def planted(*key):
-        out = list(profiles(*key))
+        pairs, representatives = profiles(*key)
+        pairs = list(pairs)
         for index in planted_at:
-            ((a, b, sep), *rest), labels = out[index]
-            out[index] = (((a + 1, b, sep), *rest), labels)
-        return tuple(out)
+            pairs[step * index] += 1  # the first position's intra coefficient
+        return tuple(pairs), representatives
 
     monkeypatch.setattr(_kernel_py, "distribution_profiles", planted)
     report = _only_report("lemma1-multiset")
     assert not report.passed
-    coeffs, labels = planted(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)[1]
-    bag = tuple(sorted(a for a, _, _ in coeffs))
-    reference = tuple(sorted(a for a, _, _ in real[0][0]))
+    pairs, representatives = planted(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)
+    labels = representatives[1]
+    bag = tuple(sorted(pairs[step : 2 * step : 2]))
+    reference = tuple(sorted(real[0][:step:2]))
     assert report.counterexample == (
         f"s=(0; 2, 2, 1) order={labels} intra multiset {bag} != {reference}"
+    )
+    assert report.counterexample == (
+        "s=(0; 2, 2, 1) order=(1, 1, 2, 3, 2) intra multiset (0, 0, 1, 1, 2) != (0, 0, 1, 1, 1)"
     )
 
 
