@@ -1,12 +1,13 @@
 """Independent verification paths: exhaustive search over all selections
-and repair sequences, a dynamic program over the selection lattice for
-instances beyond the search, explicit flow-graph construction solved by
-exact integral max-flow, and checkers for every structural claim the
-closed forms rely on.
+and repair sequences, run as one shortest-path pass over the canonical
+selection lattice per config; the same pass under a state budget for
+instances beyond the search (`lattice_capacity`); explicit flow-graph
+construction solved by exact integral max-flow; and checkers for every
+structural claim the closed forms rely on.
 
 Everything here is deliberately redundant with the closed-form modules:
-agreement between the routes (closed form, exhaustive part-cut scan,
-lattice DP, max-flow on the explicit graph) is the correctness argument.
+agreement between the routes (closed form, exhaustive lattice search,
+max-flow on the explicit graph) is the correctness argument.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil
-from operator import itemgetter
+from itertools import product
+from math import ceil, prod
+from operator import add, itemgetter, le
 
-from . import _kernel_py
 from .capacity import (
     Outcome,
     _layout_achiever,
@@ -36,6 +37,7 @@ from .model import (
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
+    _multiset_permutations,
     _packed,
     _scaled_bandwidths,
     enumerate_distributions,
@@ -92,29 +94,41 @@ def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
             yield c + 1, state[:j] + (c + 1,) + state[j + 1 :]
 
 
+def _cut_table(cfg: SystemConfig, alpha: int, beta_i: int, beta_c: int) -> list[list[int]]:
+    """cuts[i][h]: min(alpha, w) of the node at position i = 1..k whose
+    within-cluster rank is h <= min(i, R), h = 0 for a separate node, on
+    scaled integers; cuts[0] is empty.  w_i depends only on these, so
+    every cut is a sum of entries of this table."""
+    nd, rp = cfg.nodes, cfg.repair
+    cuts: list[list[int]] = [[]]
+    for i in range(1, nd.k + 1):
+        row = []
+        for h in range(min(i, nd.R) + 1):
+            a, b, _ = _coefficient(i, h, h == 0, rp.d_intra, rp.d_cross)
+            w = a * beta_i + b * beta_c
+            row.append(alpha if alpha < w else w)
+        cuts.append(row)
+    return cuts
+
+
 def lattice_capacity(cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
     """Exact capacity for any E by dynamic programming over the selection
     lattice, for instances beyond the exhaustive search.
 
-    w_i depends only on the position i, on whether the node is separate
-    and on its within-cluster rank, so the min-cut is a shortest path
-    through the per-cluster selection counts: layer i maps each state of
-    i selected nodes to the least cut over the paths reaching it, and the
-    capacity is the least value of layer k.  Raises BudgetExceeded once
-    more than `budget` states have been created.
+    The min-cut is a shortest path through the per-cluster selection
+    counts (`_cut_table`): layer i maps each state of i selected nodes to
+    the least cut over the paths reaching it, and the capacity is the
+    least value of layer k.  Raises BudgetExceeded once more than
+    `budget` states have been created.
     """
-    nd, rp = cfg.nodes, cfg.repair
-    scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
+    nd = cfg.nodes
+    scale, *bandwidths = _scaled_bandwidths(cfg)
+    cuts = _cut_table(cfg, *bandwidths)
     caps = (nd.E,) + (nd.R,) * nd.L
     layer = {(0,) * len(caps): 0}
     created = 1
     for i in range(1, nd.k + 1):
-        # cut[h]: the cut at position i for within-cluster rank h, 0 for a
-        # separate node
-        cut = []
-        for h in range(nd.R + 1):
-            a, b, _ = _coefficient(i, h, h == 0, rp.d_intra, rp.d_cross)
-            cut.append(min(alpha, a * beta_intra + b * beta_cross))
+        cut = cuts[i]
         nxt: dict[tuple[int, ...], int] = {}
         for state, value in layer.items():
             for h, succ in _moves(state, caps):
@@ -129,6 +143,69 @@ def lattice_capacity(cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET) -> F
                     nxt[succ] = v
         layer = nxt
     return Fraction(min(layer.values()), scale)
+
+
+@lru_cache(maxsize=128)
+def _lattice_edges(E: int, L: int, R: int, k: int):
+    """(forward, backward, blocks): the canonical selection lattice of a
+    layout (the states of `_moves`) as alpha-free edge lists.
+
+    Layer i holds the states of i selected nodes in descending order, so
+    layer k is `enumerate_distributions`' order and the blocks[i] states
+    without a separate node close layer i.  forward[i - 1] holds the moves
+    into layer i as (tail, head, rank) sorted by head; backward[i] the
+    cluster moves from layer i's block to layer i + 1's, sorted by tail,
+    when a selection with one separate node exists.
+    """
+    caps = (E,) + (R,) * L
+    layer, blocks = [(0,) * (L + 1)], [1]
+    forward, backward = [], []
+    for _ in range(k):
+        moves = [(t, h, succ) for t, state in enumerate(layer)
+                 for h, succ in _moves(state, caps)]
+        nxt = sorted({succ for _, _, succ in moves}, reverse=True)
+        where = {state: p for p, state in enumerate(nxt)}
+        blocks.append(sum(state[0] == 0 for state in nxt))
+        edges = [(t, where[succ], h) for t, h, succ in moves]
+        forward.append(tuple(sorted(edges, key=itemgetter(1))))
+        if E and k - 1 <= L * R:
+            t0, s0 = len(layer) - blocks[-2], len(nxt) - blocks[-1]
+            backward.append(tuple((t - t0, s - s0, h) for t, s, h in edges if t >= t0 and h))
+        layer = nxt
+    return tuple(forward), tuple(backward), tuple(blocks)
+
+
+def _forward_values(forward, cuts: list[list[int]]) -> list[list[int]]:
+    """The value pass: per layer of the canonical lattice, each state's
+    least scaled cut over the orders reaching it, from the `_lattice_edges`
+    forward edges and a `_cut_table`."""
+    values = [[0]]
+    for edges, row in zip(forward, cuts[1:]):
+        prev, nxt = values[-1], []
+        for t, s, h in edges:
+            v = prev[t] + row[h]
+            if s == len(nxt):  # the first edge into s
+                nxt.append(v)
+            elif v < nxt[s]:
+                nxt[s] = v
+        values.append(nxt)
+    return values
+
+
+def _scan_orders(dist: SelectedNodeDistribution):
+    """(labels, ranks) of each repair order of `dist` in scan order:
+    lexicographic with the separate label after every cluster label;
+    ranks[i - 1] is the within-cluster rank at position i, 0 for a
+    separate node."""
+    sep = len(dist.clusters) + 1
+    items = [c for c, count in enumerate(dist.clusters, start=1) for _ in range(count)]
+    for mapped in _multiset_permutations(items + [sep] * dist.separate):
+        seen = [0] * (sep + 1)
+        ranks = []
+        for x in mapped:
+            seen[x] += 1
+            ranks.append(0 if x == sep else seen[x])
+        yield tuple(0 if x == sep else x for x in mapped), ranks
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +530,18 @@ class _EvaluationContext:
     A context serves one config only: `verify_claims` makes a fresh one per
     config, and nothing keyed by alpha outlives it.  It weights structure
     that its owners cache across configs and calls under keys without
-    alpha: the distributions per node layout (`model`), the coefficient
-    profiles and Lemma 1's verdict per (separate count, cluster counts,
-    d_intra, d_cross) and the weighted profiles per that key and the
-    scaled bandwidths, in whose entry each alpha interval's cut classes
-    are filled on first use (`_kernel_py`), the horizontal selection, the
-    vertical order and the pinned-separate order per layout, distribution
-    or position (`sequencing`), the checked coefficient pairs of an order
-    per (labels, layout, d_intra, d_cross) (`mincut`), the sorted weights
-    per their arguments (`capacity.weight_values`), and, in this module,
-    the flow-graph wiring per (labels, layout, d_intra, d_cross), Lemma
-    2's verdict per (layout, d_intra, d_cross) and Theorem 4's per
-    (layout, d_cross, beta_intra, beta_cross).  `mincut`,
-    `mincut_by_location` and `system_capacity` are looked up in this module
-    when first read, so a substitute put there is what the checkers see.
+    alpha: the distributions per node layout (`model`), the horizontal
+    selection, the vertical order and the pinned-separate order per
+    layout, distribution or position (`sequencing`), the checked
+    coefficient pairs of an order per (labels, layout, d_intra, d_cross)
+    (`mincut`), the sorted weights per their arguments
+    (`capacity.weight_values`), and, in this module, the lattice edges
+    per layout, Lemma 1's verdict per (layout, d_intra), the flow-graph
+    wiring per (labels, layout, d_intra, d_cross), Lemma 2's verdict per
+    (layout, d_intra, d_cross) and Theorem 4's per (layout, d_cross,
+    beta_intra, beta_cross).  `mincut`, `mincut_by_location` and
+    `system_capacity` are looked up in this module when first read, so a
+    substitute put there is what the checkers see.
     """
 
     def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
@@ -502,26 +577,97 @@ class _EvaluationContext:
         """The distributions that select exactly one separate node."""
         return [dist for dist in self.distributions if dist.separate == 1]
 
-    def cuts(self, dist: SelectedNodeDistribution):
-        """(scaled cut, representative order) of each cut class of `dist`
-        at this alpha, in scan order (`_kernel_py.profile_cuts`)."""
-        rp = self.cfg.repair
-        _, alpha, beta_i, beta_c = self.scaled
-        return _kernel_py.profile_cuts(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross, alpha, beta_i, beta_c
-        )
+    @cached_property
+    def cut_table(self) -> list[list[int]]:
+        """`_cut_table` at this config's scaled bandwidths."""
+        return _cut_table(self.cfg, *self.scaled[1:])
 
     @cached_property
-    def minima(self) -> dict[SelectedNodeDistribution, tuple[int, tuple[int, ...]]]:
-        """Each distribution's first least (scaled cut, order), in
-        enumeration order."""
-        # min keeps the first of equal keys: the first minimizer in scan order
-        return {dist: min(self.cuts(dist), key=itemgetter(0)) for dist in self.distributions}
+    def lattice(self):
+        """`_lattice_edges` of this config's layout."""
+        nd = self.cfg.nodes
+        return _lattice_edges(nd.E, nd.L, nd.R, nd.k)
+
+    @cached_property
+    def forward(self) -> list[list[int]]:
+        """The value pass (`_forward_values`), once the budget is checked."""
+        self.distributions  # raises BudgetExceeded before any pass
+        return _forward_values(self.lattice[0], self.cut_table)
+
+    @cached_property
+    def minima(self) -> dict[SelectedNodeDistribution, int]:
+        """Each distribution's least scaled cut, in enumeration order: its
+        state in the last layer of the canonical lattice."""
+        return dict(zip(self.distributions, self.forward[-1]))
+
+    @cached_property
+    def separate_minima(self) -> list[int]:
+        """least[j - 1]: the least scaled cut of the orders of the
+        one-separate distributions that put the separate node at j.
+
+        togo[x] is the least cut of positions j + 1..k by cluster moves
+        from (1, x), x in layer j - 1's block without a separate node, which
+        joins there its forward value and the separate node's cut."""
+        cuts, forward = self.cut_table, self.forward
+        _, backward, blocks = self.lattice
+        k = self.cfg.nodes.k
+        togo = [0] * blocks[k - 1]
+        least = [0] * k
+        for j in range(k, 0, -1):
+            if j < k:
+                row, after, togo = cuts[j + 1], togo, []
+                for t, s, h in backward[j - 1]:
+                    v = row[h] + after[s]
+                    if t == len(togo):  # the first move out of t
+                        togo.append(v)
+                    elif v < togo[t]:
+                        togo[t] = v
+            reached = forward[j - 1][-blocks[j - 1] :]
+            least[j - 1] = cuts[j][0] + min(map(add, reached, togo))
+        return least
+
+    def first_order(self, dist: SelectedNodeDistribution) -> tuple[int, ...]:
+        """The first order of `dist` in scan order whose cut is its least.
+
+        togo[u] is the least cut of the positions left after the label
+        counts u (clusters 1..L, then the separate label), a mixed-radix
+        index; the walk takes at each position the first label in scan
+        order that keeps the least cut reachable."""
+        cuts = self.cut_table
+        sizes = dist.clusters + (dist.separate,)
+        sep, labels = len(dist.clusters), range(len(sizes))
+        strides = [prod(size + 1 for size in sizes[c + 1 :]) for c in labels]
+        togo = [0] * prod(size + 1 for size in sizes)
+        states = product(*(range(size, -1, -1) for size in sizes))
+        next(states)  # every label used up: nothing is left
+        index = len(togo) - 1
+        for used in states:
+            index -= 1
+            row, least = cuts[sum(used) + 1], None
+            for c in labels:
+                if used[c] < sizes[c]:
+                    v = row[0 if c == sep else used[c] + 1] + togo[index + strides[c]]
+                    if least is None or v < least:
+                        least = v
+            togo[index] = least
+        used, index, order = [0] * len(sizes), 0, []
+        for row in cuts[1:]:
+            for c in labels:
+                if used[c] < sizes[c]:
+                    step = index + strides[c]
+                    if row[0 if c == sep else used[c] + 1] + togo[step] == togo[index]:
+                        break
+            used[c] += 1
+            index = step
+            order.append(0 if c == sep else c + 1)
+        return tuple(order)
 
     def search(self) -> BruteForceResult:
         """The first least cut over every distribution and order."""
-        dist, (value, order) = min(self.minima.items(), key=lambda item: item[1][0])
-        return BruteForceResult(Fraction(value, self.scaled[0]), dist, ClusterOrder(order))
+        # min keeps the first of equal keys: the first distribution enumerated
+        dist, value = min(self.minima.items(), key=itemgetter(1))
+        order = ClusterOrder(self.first_order(dist))
+        return BruteForceResult(Fraction(value, self.scaled[0]), dist, order)
 
     @cached_property
     def vertical_cuts(self) -> dict[SelectedNodeDistribution, Fraction]:
@@ -541,18 +687,48 @@ class _EvaluationContext:
         return system_capacity(self.cfg)
 
 
+@lru_cache(maxsize=4096)
+def _lemma1_counterexample(nodes: NodeParams, d_intra: int) -> str | None:
+    """Lemma 1's verdict on the all-cluster distributions of a layout:
+    None, or the first order in scan order of the first failing
+    distribution whose sorted intra coefficients differ from those of its
+    first order.
+
+    Each state of the lattice without separate nodes carries the sorted
+    intra multisets of the orders reaching it, so a distribution fails
+    when its state holds more than one.  An intra coefficient depends on
+    neither d_cross nor the bandwidths."""
+    caps = (0,) + (nodes.R,) * nodes.L
+    layer = {(0,) * len(caps): {()}}
+    for i in range(1, nodes.k + 1):
+        nxt: dict[tuple[int, ...], set] = {}
+        for state, bags in layer.items():
+            for h, succ in _moves(state, caps):
+                a = _coefficient(i, h, False, d_intra, 0)[0]
+                nxt.setdefault(succ, set()).update(tuple(sorted(bag + (a,))) for bag in bags)
+        layer = nxt
+    for state in sorted(layer, reverse=True):  # enumeration order
+        if len(layer[state]) > 1:
+            dist = SelectedNodeDistribution(separate=0, clusters=state[1:])
+            bags = (
+                (labels, tuple(sorted(_coefficient(i, h, False, d_intra, 0)[0]
+                                      for i, h in enumerate(ranks, start=1))))
+                for labels, ranks in _scan_orders(dist)
+            )
+            _, reference = next(bags)
+            for labels, bag in bags:
+                if bag != reference:
+                    return f"s={dist} order={labels} intra multiset {bag} != {reference}"
+    return None
+
+
 def _check_lemma1(ctx: _EvaluationContext):
     """The multiset of intra coefficients is the same for every repair
     sequence of a fixed all-cluster distribution."""
-    rp = ctx.cfg.repair
-    for dist in ctx.all_cluster:
-        mismatch = _kernel_py.intra_multiset_mismatch(
-            dist.separate, dist.clusters, rp.d_intra, rp.d_cross
-        )
-        if mismatch is not None:
-            labels, bag, reference = mismatch
-            return False, f"s={dist} order={labels} intra multiset {bag} != {reference}"
-    return True, None
+    counter = None
+    if ctx.all_cluster:
+        counter = _lemma1_counterexample(ctx.cfg.nodes, ctx.cfg.repair.d_intra)
+    return counter is None, counter
 
 
 @lru_cache(maxsize=4096)
@@ -583,10 +759,11 @@ def _check_prop1(ctx: _EvaluationContext):
     scale = ctx.scaled[0]
     minima = ctx.minima
     for dist, constructed in ctx.vertical_cuts.items():
-        value, labels = minima[dist]
+        value = minima[dist]
         if value < constructed * scale:
             return False, (
-                f"s={dist}: order {labels} gives {Fraction(value, scale)} < {constructed}"
+                f"s={dist}: order {ctx.first_order(dist)} gives {Fraction(value, scale)} "
+                f"< {constructed}"
             )
     return True, None
 
@@ -609,19 +786,24 @@ def _check_prop2(ctx: _EvaluationContext):
 def _check_thm1(ctx: _EvaluationContext):
     """With the separate node pinned at location j, the constructed
     sequence minimizes over all one-separate selections and orders."""
+    if not ctx.one_separate:
+        return True, None
     scale = ctx.scaled[0]
     by_location = ctx.by_location
     # an integer cut is below a bound iff it is below the bound's ceiling
     scaled = [ceil(bound * scale) for bound in by_location]
+    if all(map(le, scaled, ctx.separate_minima)):
+        return True, None
     for dist in ctx.one_separate:
-        for value, labels in ctx.cuts(dist):
+        for labels, ranks in _scan_orders(dist):
+            value = sum(map(list.__getitem__, ctx.cut_table[1:], ranks))
             j = labels.index(0)
             if value < scaled[j]:
                 return False, (
                     f"s={dist} order={labels} separate at {j + 1}: "
                     f"{Fraction(value, scale)} < constructed {by_location[j]}"
                 )
-    return True, None
+    raise AssertionError("the value pass found a cut below a bound that no order has")
 
 
 def _check_thm2(ctx: _EvaluationContext):
@@ -687,8 +869,8 @@ def _check_thm4(ctx: _EvaluationContext):
 def _check_closed_vs_search(ctx: _EvaluationContext):
     """Closed-form capacity equals the exhaustive minimum."""
     closed = ctx.capacity
-    found = ctx.search()
-    if closed != found.value:
+    if closed != Fraction(min(ctx.minima.values()), ctx.scaled[0]):
+        found = ctx.search()
         return False, (
             f"closed form {closed} != search {found.value} at "
             f"s={found.distribution} order={found.order}"

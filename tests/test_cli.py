@@ -450,8 +450,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
                      "--E", "4", "--dC", "10", "--betaI", "2", "--betaC", "1",
                      "--alpha", "5"])
 assert code == 0 and out.getvalue().startswith("capacity = "), out.getvalue()
-loaded = sorted(m for m in ("clustercap.oracle", "clustercap._kernel_py", "clustercap.codes")
-                if m in sys.modules)
+loaded = sorted(m for m in ("clustercap.oracle", "clustercap.codes") if m in sys.modules)
 assert not loaded, f"capacity loaded {loaded}"
 for name in clustercap.__all__:
     getattr(clustercap, name)
@@ -496,8 +495,7 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     assert code == 0 and out.getvalue(), (argv, out.getvalue())
-banned = ("dataclasses", "inspect", "clustercap.oracle", "clustercap._kernel_py",
-          "clustercap.codes")
+banned = ("dataclasses", "inspect", "clustercap.oracle", "clustercap.codes")
 loaded = [m for m in banned if m in sys.modules and m not in before]
 assert not loaded, f"the CLI loaded {loaded}"
 """

@@ -1,22 +1,20 @@
-"""Scan-kernel tests: the profile-compressed scan must match a direct loop
-over every sequence, the pruned profile search must match a walk over
-every permutation, the scan over cut classes must match a scan over every
-profile, and exact integers must carry huge rationals."""
+"""Lattice-DP tests: the value pass over the canonical selection lattice
+must give each distribution's least cut and first minimizing order, and
+Theorem 1's least cut per separate position, as a walk over every
+sequence does, and exact integers must carry huge rationals."""
 
-import gc
 import random
-import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate, repeat
 
-from clustercap import _kernel_py
 from clustercap.capacity import capacity_achiever, system_capacity
-from clustercap.mincut import _coefficients, mincut
+from clustercap.mincut import _coefficient, mincut
 from clustercap.model import (
     NodeParams,
+    RepairParams,
+    SystemConfig,
     _multiset_permutations,
-    _packed,
     enumerate_distributions,
     enumerate_orders,
     validate_config,
@@ -25,6 +23,7 @@ from clustercap.oracle import (
     ALL_CLAIMS,
     SWEEP_BETA_PAIRS,
     VerificationFamily,
+    _EvaluationContext,
     brute_force_capacity,
     ifg_mincut,
     sweep_configs,
@@ -48,22 +47,19 @@ def _random_cases(count, seed):
 
 
 def test_pure_scan_matches_naive_per_order_minimum():
-    """The profile-compressed scan must agree with a direct loop over
-    every sequence, including the representative order choice."""
+    """The value pass must agree with a direct loop over every sequence,
+    including the first minimizing order."""
     for nodes, d_cross, alpha, beta_i, beta_c in _random_cases(40, seed=3):
+        cfg = validate_config(
+            n=nodes.n, k=nodes.k, L=nodes.L, R=nodes.R, E=nodes.E,
+            d_cross=d_cross, beta_intra=beta_i, beta_cross=beta_c, alpha=alpha,
+        )
+        ctx = _EvaluationContext(cfg)
         for dist in enumerate_distributions(nodes):
-            got = min(_kernel_py.profile_cuts(
-                dist.separate, dist.clusters, nodes.R - 1, d_cross,
-                alpha, beta_i, beta_c,
-            ), key=itemgetter(0))
+            got = (ctx.minima[dist], ctx.first_order(dist))
             best = None
             key = lambda o: tuple(nodes.L + 1 if x == 0 else x for x in o.labels)
             for order in sorted(enumerate_orders(dist), key=key):
-                cfg = validate_config(
-                    n=nodes.n, k=nodes.k, L=nodes.L, R=nodes.R, E=nodes.E,
-                    d_cross=d_cross, beta_intra=beta_i, beta_cross=beta_c,
-                    alpha=alpha,
-                )
                 value = mincut(cfg, order).value
                 if best is None or value < best[0]:
                     best = (value, order.labels)
@@ -81,215 +77,182 @@ def test_brute_force_handles_huge_rationals():
     assert result.value == expected
 
 
-
-def _walked_profiles(s0, clusters, d_intra, d_cross):
-    """Reference for `distribution_profiles`: the coefficients of every
-    multiset permutation in scan order (separate label last), keeping the
-    first sequence of each distinct profile."""
-    L = len(clusters)
-    sep_label = L + 1
+def _walked_ranks(s0, clusters):
+    """(labels, positions) of the first order of each distinct sequence
+    of (position, within-cluster rank, is separate), walking every order
+    of the distribution in scan order (lexicographic, separate label
+    last); every coefficient of an order is a function of its sequence."""
+    sep_label = len(clusters) + 1
     items = [c for c, count in enumerate(clusters, start=1) for _ in range(count)]
-    items += [sep_label] * s0
-    profiles: dict = {}
-    ordered = []
-    for mapped in _multiset_permutations(items):
-        coeffs = _coefficients(mapped, sep_label, d_intra, d_cross)
-        if coeffs not in profiles:
-            labels = tuple(0 if x == sep_label else x for x in mapped)
-            profiles[coeffs] = labels
-            ordered.append((coeffs, labels))
-    return tuple(ordered)
+    first = {}
+    for mapped in _multiset_permutations(items + [sep_label] * s0):
+        seen = {}
+        positions = []
+        for i, x in enumerate(mapped, start=1):
+            seen[x] = seen.get(x, 0) + 1
+            positions.append((i, seen[x], x == sep_label))
+        first.setdefault(tuple(positions), tuple(0 if x == sep_label else x for x in mapped))
+    return [(labels, positions) for positions, labels in first.items()]
 
 
-def _sweep_keys():
-    """Every distinct (s0, clusters, d_intra, d_cross) of the sweep at E <= 2."""
-    return {
-        (dist.separate, dist.clusters, cfg.repair.d_intra, cfg.repair.d_cross)
-        for cfg in sweep_configs(E_values=(0, 1, 2))
-        for dist in enumerate_distributions(cfg.nodes)
-    }
+def _walked_profiles(ranks, d_intra, d_cross):
+    """(coefficients, labels) of the first order in scan order of each
+    distinct coefficient profile, from `_walked_ranks`, computing each
+    order's coefficients once."""
+    coefficient = {}
+    first = {}
+    for labels, positions in ranks:
+        for p in positions:
+            if p not in coefficient:
+                coefficient[p] = _coefficient(*p, d_intra, d_cross)
+        first.setdefault(tuple(map(coefficient.__getitem__, positions)), labels)
+    return tuple(first.items())
 
 
-def _walk_layout(walked):
-    """`_walked_profiles` in the layout of `distribution_profiles`: the
-    packed (a, b) of every profile in turn, and the representatives.  The
-    walk's separate flags must be exactly the positions labelled 0, the
-    flags that layout drops."""
-    for coeffs, labels in walked:
-        assert tuple(sep for _, _, sep in coeffs) == tuple(x == 0 for x in labels), labels
-    pairs = [x for coeffs, _ in walked for a, b, _ in coeffs for x in (a, b)]
-    return _packed(pairs), tuple(labels for _, labels in walked)
+def _walked_rows(profiles, betas, s0):
+    """(separate positions, sorted weights, prefix sums, labels), one
+    entry per row in scan order: the first profile of each distinct
+    (separate position when s0 is 1, sorted weights) under `betas`, whose
+    cut every later profile of the row shares at every alpha."""
+    bi, bc = betas
+    rows = {}
+    for coeffs, labels in profiles:
+        weights = tuple(sorted(a * bi + b * bc for a, b, _ in coeffs))
+        rows.setdefault((labels.index(0) if s0 == 1 else -1, weights), labels)
+    return (
+        [j for j, _ in rows],
+        [weights for _, weights in rows],
+        [list(accumulate(weights, initial=0)) for _, weights in rows],
+        list(rows.values()),
+    )
 
 
-def test_profile_search_matches_permutation_walk():
-    """Same profiles, same representatives, same order as the walk over
-    every permutation: on each distinct key of the sweep at E <= 2, on
-    twin-heavy L=4 keys, on keys with zero-count clusters and on k=1."""
-    keys = _sweep_keys()
-    assert len(keys) > 1300
-    keys |= {
-        (0, (2, 2, 2, 1), 2, 4),
-        (2, (2, 2, 2, 2), 1, 5),
-        (1, (3, 3, 3, 0), 2, 6),
-        (1, (2, 0, 2), 1, 4),
-        (0, (0, 3, 0, 3), 2, 5),
-        (2, (0,), 0, 3),
-        (1, (1,), 0, 1),
-    }
-    search = _kernel_py.distribution_profiles.__wrapped__
-    for key in sorted(keys):
-        assert search(*key) == _walk_layout(_walked_profiles(*key)), key
-
-
-def _scanned_profiles(key, beta_intra, beta_cross):
-    """Reference for the cut classes: (sorted weights, prefix sums,
-    representative) of every profile of `key`, in scan order, for
-    `_profile_scan`."""
-    pairs, representatives = _kernel_py.distribution_profiles(*key)
-    step = 2 * (key[0] + sum(key[1]))
-    rows = []
-    for p, labels in enumerate(representatives):
-        profile = pairs[step * p : step * (p + 1)]
-        a, b = profile[::2], profile[1::2]
-        weights = sorted(x * beta_intra + y * beta_cross for x, y in zip(a, b))
-        prefix = [0]
-        for w in weights:
-            prefix.append(prefix[-1] + w)
-        rows.append((weights, prefix, labels))
-    return rows
-
-
-def _profile_scan(rows, k, alpha):
-    """(sum(min(alpha, w_i)), representative) of every profile, in scan
-    order: t weights are at most alpha and the other k - t are capped."""
+def _walked_cuts(rows, k, alpha):
+    """sum(min(alpha, w_i)) of each row, in scan order: t weights are at
+    most alpha and the other k - t are capped."""
+    _, weights, prefixes, _ = rows
     return [
-        (prefix[t] + alpha * (k - t), labels)
-        for weights, prefix, labels in rows
-        for t in (bisect_right(weights, alpha),)
+        prefix[t] + alpha * (k - t)
+        for prefix, t in zip(prefixes, map(bisect_right, weights, repeat(alpha)))
     ]
 
 
-def _first_below(cuts, thresholds):
-    """The first (cut, order) whose cut is below the threshold of the
-    order's separate position, as thm1 looks for it; None if there is none."""
-    return next(((v, o) for v, o in cuts if v < thresholds[o.index(0)]), None)
+def _alpha_grid(rows):
+    """Zero, each distinct weight (bound), each midpoint between two
+    consecutive bounds, and one above the last bound."""
+    bounds = sorted({w for weights in rows[1] for w in weights})
+    grid = {0, bounds[-1] + 1, *bounds}
+    grid.update((x + y) // 2 for x, y in zip(bounds, bounds[1:]))
+    return grid
 
 
-def _check_cut_classes(key, betas):
-    """At alpha = 0, at each weight bound, between bounds and above the
-    last one: the cut classes of `key` under `betas` give the first
-    minimum of a per-profile scan, and for one separate node the first
-    cut below a per-position threshold.  Returns the alphas checked."""
-    s0, clusters = key[:2]
-    k = s0 + sum(clusters)
-    rows = _scanned_profiles(key, *betas)
-    positions = [labels.index(0) for _, _, labels in rows] if s0 == 1 else None
-    bounds = sorted({w for weights, _, _ in rows for w in weights})
-    alphas = {0, bounds[-1] + 1}
-    alphas.update(bounds)
-    alphas.update((x + y) // 2 for x, y in zip(bounds, bounds[1:]))
-    for alpha in sorted(alphas):
-        reference = _profile_scan(rows, k, alpha)
-        got = _kernel_py.profile_cuts(*key, alpha, *betas)
-        assert min(got, key=itemgetter(0)) == min(reference, key=itemgetter(0))
-        if s0 != 1:
-            continue
-        # the separate node takes every position in some order
-        least, most = {}, {}
-        for (v, _), j in zip(reference, positions):
-            least[j] = min(v, least.get(j, v))
-            most[j] = max(v, most.get(j, v))
-        lowest = [least[j] + 1 for j in range(k)]
-        highest = [most[j] for j in range(k)]
-        mixed = [lowest[j] if j % 2 else highest[j] for j in range(k)]
-        for thresholds in (lowest, highest, mixed):
-            assert _first_below(got, thresholds) == _first_below(reference, thresholds)
-    return len(alphas)
+def _memo_rows(memo, key, betas):
+    """`_walked_rows` of a (separate count, cluster counts, d_intra,
+    d_cross) key under `betas`, memoised in `memo` with the walks behind
+    it."""
+    if (key, betas) not in memo:
+        if key not in memo:
+            if key[:2] not in memo:
+                memo[key[:2]] = _walked_ranks(*key[:2])
+            memo[key] = _walked_profiles(memo[key[:2]], *key[2:])
+        memo[key, betas] = _walked_rows(memo[key], betas, key[0])
+    return memo[key, betas]
 
 
-def test_cut_classes_match_a_scan_over_every_profile():
-    """On every distinct sweep key at E <= 2 under each sweep bandwidth
-    pair, the cut classes match a scan over every profile
-    (`_check_cut_classes`).  The bandwidths are doubled so that the
-    midpoints are integers."""
+def _check_layout(layout, betas, memo, done):
+    """The value pass of each config of a layout (n, k, L, R, E, d_cross)
+    under `betas`, across the alpha grids of its distributions, against a
+    walk over every order: each distribution's least cut and first
+    minimizing order, and with one separate node Theorem 1's least cut per
+    position.  Checks each (key, betas) not in `done` and adds it there;
+    returns the number of (key, betas, alpha) it checked."""
+    n, k, L, R, E, d_cross = layout
+    nodes = NodeParams(n=n, k=k, L=L, R=R, E=E)
+    keys = {
+        dist: (dist.separate, dist.clusters, R - 1, d_cross)
+        for dist in enumerate_distributions(nodes)
+    }
+    grids = {}
+    for dist, key in keys.items():
+        if (key, betas) not in done:
+            done.add((key, betas))
+            grids[dist] = _alpha_grid(_memo_rows(memo, key, betas))
+    # Theorem 1's minima are checked at every alpha checked here when the
+    # layout has a one-separate distribution, against all of them
+    pinned_grid = set()
+    if any(dist.separate == 1 for dist in keys):
+        pinned_grid = set().union(*grids.values())
+    rows = {
+        dist: _memo_rows(memo, key, betas)
+        for dist, key in keys.items()
+        if dist in grids or (dist.separate == 1 and pinned_grid)
+    }
+    bi, bc = map(Fraction, betas)
     checked = 0
-    for key in sorted(_sweep_keys()):
+    for alpha in sorted(set().union(*grids.values())):
+        cfg = SystemConfig(nodes, RepairParams(Fraction(alpha), R - 1, bi, d_cross, bc))
+        ctx = _EvaluationContext(cfg)
+        pinned = {}
+        for dist, dist_rows in rows.items():
+            own = alpha in grids.get(dist, ())
+            if not own and not (dist.separate == 1 and alpha in pinned_grid):
+                continue
+            cuts = _walked_cuts(dist_rows, k, alpha)
+            if own:
+                value = min(cuts)
+                labels = dist_rows[3][cuts.index(value)]
+                assert (ctx.minima[dist], ctx.first_order(dist)) == (value, labels), (cfg, dist)
+                checked += 1
+            if dist.separate == 1:
+                for value, j in zip(cuts, dist_rows[0]):
+                    if value < pinned.get(j, value + 1):
+                        pinned[j] = value
+        if alpha in pinned_grid:
+            assert ctx.separate_minima == [pinned[j] for j in range(k)], cfg
+    return checked
+
+
+def _sweep_layouts():
+    """Every distinct (n, k, L, R, E, d_cross) of the sweep at E <= 2."""
+    return sorted({
+        (c.nodes.n, c.nodes.k, c.nodes.L, c.nodes.R, c.nodes.E, c.repair.d_cross)
+        for c in sweep_configs(E_values=(0, 1, 2))
+    })
+
+
+def test_lattice_dp_matches_a_walk_over_every_order():
+    """On every distinct sweep key (separate count, cluster counts,
+    d_intra, d_cross) at E <= 2 under each sweep bandwidth pair, at alpha
+    0, at each bound, at each midpoint and above the last bound, the
+    value pass gives a walk's least cut and first minimizing order, and
+    Theorem 1's least cut per position (`_check_layout`).  The bandwidths
+    are doubled so that the midpoints are integers."""
+    memo, done, checked = {}, set(), 0
+    for layout in _sweep_layouts():
         for bi, bc in SWEEP_BETA_PAIRS:
-            checked += _check_cut_classes(key, (2 * bi, 2 * bc))
+            checked += _check_layout(layout, (2 * bi, 2 * bc), memo, done)
+    assert len(done) > 4 * 1300
     assert checked > 50_000
 
 
-def test_scaled_scan_takes_the_tuple_path():
-    """Weights of 256 or more do not fit the packed bytes: scaling alpha
-    and both bandwidths by m = 300 stores the sweep keys' weights as
-    tuples, and every cut class keeps its representative while its cut
-    scales by m."""
+def test_lattice_dp_matches_the_walk_on_wide_values():
+    """Large values: every 40th sweep layout with alpha and both
+    bandwidths scaled by m = 300, and layouts whose helper count of 280
+    to 300 puts coefficients of 256 or more in the cuts."""
     m = 300
-    keys = sorted(_sweep_keys())[::40]
-    assert len(keys) > 30
-    for index, key in enumerate(keys):
+    layouts = _sweep_layouts()[::40]
+    assert len(layouts) > 10
+    checked = 0
+    for index, layout in enumerate(layouts):
         bi, bc = SWEEP_BETA_PAIRS[index % len(SWEEP_BETA_PAIRS)]
-        (_, weights, _), bounds, _ = _kernel_py._weighted_profiles(*key, bi, bc)
-        (_, scaled, _), _, _ = _kernel_py._weighted_profiles(*key, m * bi, m * bc)
-        assert type(weights) is bytes and type(scaled) is tuple
-        assert scaled == tuple(m * w for w in weights)
-        for alpha in sorted({0, *bounds, bounds[-1] + 1}):
-            cuts = _kernel_py.profile_cuts(*key, alpha, bi, bc)
-            scaled_cuts = _kernel_py.profile_cuts(*key, m * alpha, m * bi, m * bc)
-            assert scaled_cuts == [(m * v, labels) for v, labels in cuts], (key, alpha)
+        checked += _check_layout(layout, (m * bi, m * bc), {}, set())
+    wide = ((303, 4, 2, 3, 297, 300), (301, 4, 2, 2, 297, 299), (281, 3, 1, 1, 280, 280))
+    for layout in wide:
+        checked += _check_layout(layout, (2, 2), {}, set())
+    assert checked > 1000
 
 
-def test_large_coefficients_take_the_tuple_path():
-    """A helper count of 300 puts coefficients of 256 or more in the
-    profiles, so the profiles and the rows are tuples; the search still
-    matches the walk and the cut classes a scan over every profile."""
-    for key in ((1, (2, 1), 2, 300), (0, (2, 2), 1, 299), (2, (1,), 0, 280)):
-        profiles = _kernel_py.distribution_profiles(*key)
-        assert type(profiles[0]) is tuple and max(profiles[0]) >= 256
-        assert profiles == _walk_layout(_walked_profiles(*key)), key
-        _, weights, _ = _kernel_py._weighted_profiles(*key, 2, 2)[0]
-        assert type(weights) is tuple
-        assert _check_cut_classes(key, (2, 2)) > 2
-
-
-def test_sweep_entries_are_packed_as_bytes():
-    """Every sweep key at E <= 2 keeps its profiles as bytes, and under
-    each sweep bandwidth pair its row positions and weights too, so a
-    later change cannot silently store them as tuples again."""
-    for key in sorted(_sweep_keys()):
-        assert type(_kernel_py.distribution_profiles(*key)[0]) is bytes, key
-        for betas in SWEEP_BETA_PAIRS:
-            positions, weights, _ = _kernel_py._weighted_profiles(*key, *betas)[0]
-            assert (type(positions), type(weights)) == (bytes, bytes), (key, betas)
-
-
-def test_profile_caches_stay_packed_in_memory():
-    """The two profile caches, filled with the 392 keys of the L=3, R=4,
-    E=1 sweep layouts under bandwidths (2, 1), retain at most half of
-    the 7,987,184 bytes (tracemalloc) that they held when each profile
-    and each row was a tuple of its own; packed they hold about 2.8 MB."""
-    keys = sorted({
-        (dist.separate, dist.clusters, cfg.repair.d_intra, cfg.repair.d_cross)
-        for cfg in sweep_configs(L_values=(3,), R_values=(4,), E_values=(1,))
-        for dist in enumerate_distributions(cfg.nodes)
-    })
-    assert len(keys) == 392
-    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
-        cached.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for key in keys:
-            _kernel_py._weighted_profiles(*key, 2, 1)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained <= 7_987_184 // 2, retained
-
-
-def test_profile_search_needs_no_recursion_per_position():
+def test_lattice_search_needs_no_recursion_per_position():
     """k = 1100 positions in one cluster: a search that recursed once per
     position would exceed the interpreter's recursion limit."""
     cfg = validate_config(
@@ -297,57 +260,6 @@ def test_profile_search_needs_no_recursion_per_position():
         beta_intra=1, beta_cross=1, alpha=5,
     )
     assert brute_force_capacity(cfg).value == 5500
-
-
-def test_profile_caches_expose_lru_controls():
-    """perfbench reads `cache_info` of both profile caches and clears them
-    between cold samples; clearing `_weighted_profiles` also drops the
-    interval classes, so the next scan builds them again."""
-    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
-        cached.cache_clear()
-        assert cached.cache_info().currsize == 0
-    key, alpha, betas = (1, (2, 1), 1, 3), 4, (2, 1)
-    cuts = _kernel_py.profile_cuts(*key, alpha, *betas)
-    for cached in (_kernel_py.distribution_profiles, _kernel_py._weighted_profiles):
-        info = cached.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-    _, bounds, classes = _kernel_py._weighted_profiles(*key, *betas)
-    interval = bisect_right(bounds, alpha)
-    table = classes[interval]
-    assert table is not None
-    assert [slot for slot in classes if slot is not None] == [table]
-    _kernel_py._weighted_profiles.cache_clear()
-    assert _kernel_py.profile_cuts(*key, alpha, *betas) == cuts
-    info = _kernel_py._weighted_profiles.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-    rebuilt = _kernel_py._weighted_profiles(*key, *betas)[2][interval]
-    assert rebuilt == table and rebuilt is not table
-
-
-def test_interval_classes_do_not_depend_on_fill_order():
-    """On every distinct sweep key at E <= 2, under the sweep bandwidth
-    pairs in turn: the class tables that one warm entry fills in
-    descending alpha order equal those that a freshly cleared entry
-    builds for each interval alone, and a scan fills only its own slot."""
-    weighted = _kernel_py._weighted_profiles
-    checked = 0
-    for index, key in enumerate(sorted(_sweep_keys())):
-        betas = SWEEP_BETA_PAIRS[index % len(SWEEP_BETA_PAIRS)]
-        weighted.cache_clear()
-        _, bounds, classes = weighted(*key, *betas)
-        alphas = sorted({0, *bounds}, reverse=True)
-        for alpha in alphas:
-            _kernel_py.profile_cuts(*key, alpha, *betas)
-        for alpha in alphas:
-            interval = bisect_right(bounds, alpha)
-            weighted.cache_clear()
-            _kernel_py.profile_cuts(*key, alpha, *betas)
-            fresh = weighted(*key, *betas)[2]
-            assert classes[interval] is not None
-            assert fresh[interval] == classes[interval], (key, betas, alpha)
-            assert sum(slot is not None for slot in fresh) == 1
-            checked += 1
-    assert checked > 10_000
 
 
 def test_every_cache_is_bounded_with_lru_controls(structural_caches):
@@ -359,12 +271,11 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "sequencing.horizontal_selection",
         "sequencing.vertical_order",
         "sequencing.optimal_order_with_separate_at",
-        "_kernel_py.distribution_profiles",
-        "_kernel_py.intra_multiset_mismatch",
-        "_kernel_py._weighted_profiles",
         "mincut._order_coefficients",
         "capacity.weight_values",
         "oracle._ifg_wiring",
+        "oracle._lattice_edges",
+        "oracle._lemma1_counterexample",
         "oracle._lemma2_counterexample",
         "oracle._thm4_counterexample",
     }

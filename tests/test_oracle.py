@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustercap import _kernel_py, oracle
+from clustercap import oracle
 from clustercap.capacity import capacity_achiever, system_capacity
 from clustercap.mincut import CutReport, incoming_coefficients, mincut, part_incoming_weights
 from clustercap.model import (
@@ -75,8 +75,7 @@ def test_brute_force_budget_guard():
 def test_brute_force_deterministic_cold_and_warm():
     config = cfg(9, 6, 2, 4, 1, 5, 3, 2, Fraction(7, 2))
     runs = [brute_force_capacity(config) for _ in range(2)]
-    _kernel_py.distribution_profiles.cache_clear()
-    _kernel_py._weighted_profiles.cache_clear()
+    oracle._lattice_edges.cache_clear()
     runs.append(brute_force_capacity(config))
     assert len({(r.value, r.distribution, r.order) for r in runs}) == 1
 
@@ -603,40 +602,26 @@ def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
 
 @pytest.fixture
 def fresh_lemma1_verdicts():
-    """A planted profile must not leave its verdict in the cache."""
-    _kernel_py.intra_multiset_mismatch.cache_clear()
+    """A planted coefficient must not leave its verdict in the cache."""
+    oracle._lemma1_counterexample.cache_clear()
     yield
-    _kernel_py.intra_multiset_mismatch.cache_clear()
+    oracle._lemma1_counterexample.cache_clear()
 
 
 def test_lemma1_flags_planted_violation(monkeypatch, fresh_lemma1_verdicts):
-    """Two profiles of the one all-cluster distribution get a changed intra
-    multiset; the report names the first of them in scan order."""
-    profiles = _kernel_py.distribution_profiles
-    (dist,) = [d for d in enumerate_distributions(PLANTED.nodes) if d.separate == 0]
-    rp = PLANTED.repair
-    real = profiles(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)
-    step = 2 * dist.k
-    assert len(real[1]) > 2
-    planted_at = (1, len(real[1]) - 1)
+    """An intra coefficient raised by one at rank 1 on position 4 changes
+    the multiset of the orders that put a cluster's first node there; the
+    report names the first of them in scan order against the first
+    order's multiset."""
+    real = oracle._coefficient
 
-    def planted(*key):
-        pairs, representatives = profiles(*key)
-        pairs = list(pairs)
-        for index in planted_at:
-            pairs[step * index] += 1  # the first position's intra coefficient
-        return tuple(pairs), representatives
+    def planted(i, h, is_separate, d_intra, d_cross):
+        a, b, separate = real(i, h, is_separate, d_intra, d_cross)
+        return (a + 1 if (i, h, separate) == (4, 1, False) else a), b, separate
 
-    monkeypatch.setattr(_kernel_py, "distribution_profiles", planted)
+    monkeypatch.setattr(oracle, "_coefficient", planted)
     report = _only_report("lemma1-multiset")
     assert not report.passed
-    pairs, representatives = planted(dist.separate, dist.clusters, rp.d_intra, rp.d_cross)
-    labels = representatives[1]
-    bag = tuple(sorted(pairs[step : 2 * step : 2]))
-    reference = tuple(sorted(real[0][:step:2]))
-    assert report.counterexample == (
-        f"s=(0; 2, 2, 1) order={labels} intra multiset {bag} != {reference}"
-    )
     assert report.counterexample == (
         "s=(0; 2, 2, 1) order=(1, 1, 2, 3, 2) intra multiset (0, 0, 1, 1, 2) != (0, 0, 1, 1, 1)"
     )
@@ -789,52 +774,50 @@ def test_criterion_2_triples_are_pinned():
     )
 
 
-def _count_scans(monkeypatch):
-    """Count the distribution enumerations and profile scans the oracle
+def _count_passes(monkeypatch):
+    """Count the distribution enumerations and value passes the oracle
     makes from here on."""
-    counts = {"enumerate": 0, "scan": 0}
-    enumerate_, scan = oracle.enumerate_distributions, _kernel_py.profile_cuts
+    counts = {"enumerate": 0, "pass": 0}
+    enumerate_, forward = oracle.enumerate_distributions, oracle._forward_values
 
     def counted_enumerate(nodes):
         counts["enumerate"] += 1
         return enumerate_(nodes)
 
-    def counted_scan(*args):
-        counts["scan"] += 1
-        return scan(*args)
+    def counted_pass(*args):
+        counts["pass"] += 1
+        return forward(*args)
 
     monkeypatch.setattr(oracle, "enumerate_distributions", counted_enumerate)
-    monkeypatch.setattr(_kernel_py, "profile_cuts", counted_scan)
+    monkeypatch.setattr(oracle, "_forward_values", counted_pass)
     return counts
 
 
 def test_claims_of_a_config_share_one_search(monkeypatch):
-    """verify_claims enumerates a config's distributions once and scans
-    each once for the search table, plus once more per one-separate
-    distribution for thm1's pinned-location check."""
+    """verify_claims enumerates a config's distributions once and runs one
+    value pass over its lattice, which serves the search, prop1 and
+    thm1's pinned-location check alike."""
     configs = oracle.FAMILIES["tiny"]().configs[::9] + (PLANTED,)
     assert {c.nodes.E for c in configs} == {0, 1}
-    counts = _count_scans(monkeypatch)
+    counts = _count_passes(monkeypatch)
     for config in configs:
-        dists = enumerate_distributions(config.nodes)
-        one_separate = [d for d in dists if d.separate == 1]
-        counts.update(enumerate=0, scan=0)
+        counts.update({"enumerate": 0, "pass": 0})
         family = VerificationFamily(name="one", configs=(config,), claims=oracle.ALL_CLAIMS)
         assert all(r.passed for r in verify_claims(family))
-        assert counts == {"enumerate": 1, "scan": len(dists) + len(one_separate)}
+        assert counts == {"enumerate": 1, "pass": 1}
 
 
 def test_budget_is_checked_before_any_scan(monkeypatch):
-    counts = _count_scans(monkeypatch)
+    counts = _count_passes(monkeypatch)
     size = enumeration_size(PLANTED.nodes)
     with pytest.raises(BudgetExceeded) as err:
         brute_force_capacity(PLANTED, budget=size - 1)
-    assert (err.value.size, err.value.budget, counts["scan"]) == (size, size - 1, 0)
+    assert (err.value.size, err.value.budget, counts["pass"]) == (size, size - 1, 0)
     monkeypatch.setattr(oracle, "DEFAULT_BUDGET", size - 1)
     family = VerificationFamily(name="planted", configs=(PLANTED,), claims=oracle.ALL_CLAIMS)
     with pytest.raises(BudgetExceeded) as err:
         verify_claims(family)
-    assert (err.value.size, err.value.budget, counts["scan"]) == (size, size - 1, 0)
+    assert (err.value.size, err.value.budget, counts["pass"]) == (size, size - 1, 0)
 
 
 def test_brute_force_results_are_pinned():
