@@ -28,6 +28,7 @@ from .model import (
     RepairParams,
     SystemConfig,
     _check_d_cross,
+    _fraction,
     _scaled_bandwidths,
     parse_rational,
 )
@@ -159,7 +160,7 @@ def system_capacity(cfg: SystemConfig) -> Fraction:
     nd, rp = cfg.nodes, cfg.repair
     scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
     values = weight_values(nd.k, nd.E, nd.R, rp.d_cross, beta_intra, beta_cross)
-    return Fraction(sum(alpha if alpha < w else w for w in values), scale)
+    return _fraction(sum([alpha if alpha < w else w for w in values]), scale)
 
 
 def capacity_achiever(cfg: SystemConfig):
@@ -183,7 +184,7 @@ def mincut_by_location(cfg: SystemConfig, j: int) -> Fraction:
     if cfg.nodes.E < 1:
         raise ConfigError("separate-node location sweep needs E >= 1")
     scale, _, cut, _ = _scaled_cut(cfg, optimal_order_with_separate_at(cfg.nodes, j))
-    return Fraction(cut, scale)
+    return _fraction(cut, scale)
 
 
 def _inversion_table(values: Sequence[int]) -> tuple[list[int], list[int]]:

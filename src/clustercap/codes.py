@@ -14,6 +14,14 @@ The download combinations are chosen so that the unwanted unknowns align
 and cancel (rank-1 interference conditions plus a rank-2 solve), and each
 repair plan carries an exact decode matrix.  ``search_construction`` finds
 a fully verified instance deterministically from a seed.
+
+``INSTANCE`` states these parameters as a ``SystemConfig`` (d_C = 3,
+beta_I = 2, beta_C = 1).  Its capacity is 6, the file size, and 2 is the
+least alpha that stores 6 on its weights, so the code sits on the
+tradeoff: at tau = beta_I / beta_C = 2 the capacity falls to 29/5 once
+beta_C drops to 9/10, the minimum-storage corner of that curve.  At
+tau = 1 (beta_I = 1) the capacity is still 6, so the tradeoff would
+allow a cluster repair of 4 symbols, not 5.
 """
 
 from __future__ import annotations
@@ -21,10 +29,13 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .model import Record
+from .model import Record, validate_config
 
 Matrix = tuple[tuple[int, ...], ...]
 
+INSTANCE = validate_config(
+    n=5, k=3, L=2, R=2, E=1, d_cross=3, beta_intra=2, beta_cross=1, alpha=2
+)
 CLUSTERS = ((1, 2), (4, 5))
 SEPARATE_NODE = 3
 ALL_NODES = (1, 2, 3, 4, 5)
@@ -472,11 +483,13 @@ def verify_instance(inst: CodeInstance) -> None:
         raise SingularSystem("a 3-subset of columns is singular")
     if not check_rank_conditions(inst):
         raise AlignmentFailure("separate-node rank conditions violated")
-    if repair_bandwidth(inst, SEPARATE_NODE) != 4:
-        raise AlignmentFailure("separate repair must read exactly 4 symbols")
+    rp = INSTANCE.repair
+    separate, cluster = rp.gamma_separate, rp.gamma_intra + rp.gamma_cross
+    if repair_bandwidth(inst, SEPARATE_NODE) != separate:
+        raise AlignmentFailure(f"separate repair must read exactly {separate} symbols")
     for node in ALL_NODES:
-        if node != SEPARATE_NODE and repair_bandwidth(inst, node) != 5:
-            raise AlignmentFailure("cluster repair must read exactly 5 symbols")
+        if node != SEPARATE_NODE and repair_bandwidth(inst, node) != cluster:
+            raise AlignmentFailure(f"cluster repair must read exactly {cluster} symbols")
     basis = [[1 if i == j else 0 for i in range(6)] for j in range(6)]
     for message in basis:
         contents = encode(message, inst)

@@ -144,7 +144,7 @@ def _scaled_cut(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, int, int, 
     it = iter(_checked_coefficients(cfg, order))
     scale, alpha, beta_intra, beta_cross = _scaled_bandwidths(cfg)
     weights = [a * beta_intra + b * beta_cross for a, b in zip(it, it)]
-    return scale, alpha, sum(alpha if alpha < w else w for w in weights), weights
+    return scale, alpha, sum([alpha if alpha < w else w for w in weights]), weights
 
 
 def mincut(cfg: SystemConfig, order: ClusterOrder) -> CutReport:
@@ -156,6 +156,4 @@ def mincut(cfg: SystemConfig, order: ClusterOrder) -> CutReport:
     else:
         value = Fraction(cut, scale)
         fractions = tuple(Fraction(w, scale) for w in weights)
-    return CutReport(
-        value=value, weights=fractions, capped=tuple(alpha < w for w in weights)
-    )
+    return CutReport(value, fractions, tuple([alpha < w for w in weights]))

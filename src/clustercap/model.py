@@ -261,15 +261,19 @@ def _scaled_bandwidths(cfg: SystemConfig) -> tuple[int, int, int, int]:
     """(scale, alpha, beta_intra, beta_cross) with rationals cleared to
     integers by the common denominator."""
     rp = cfg.repair
-    scale = lcm(
-        rp.alpha.denominator, rp.beta_intra.denominator, rp.beta_cross.denominator
-    )
-    return (
-        scale,
-        rp.alpha.numerator * (scale // rp.alpha.denominator),
-        rp.beta_intra.numerator * (scale // rp.beta_intra.denominator),
-        rp.beta_cross.numerator * (scale // rp.beta_cross.denominator),
-    )
+    alpha, a = rp.alpha.as_integer_ratio()
+    beta_intra, bi = rp.beta_intra.as_integer_ratio()
+    beta_cross, bc = rp.beta_cross.as_integer_ratio()
+    if a == bi == bc == 1:  # integer bandwidths: nothing to clear
+        return 1, alpha, beta_intra, beta_cross
+    scale = lcm(a, bi, bc)
+    return scale, alpha * (scale // a), beta_intra * (scale // bi), beta_cross * (scale // bc)
+
+
+def _fraction(value: int, scale: int) -> Fraction:
+    """value / scale as a Fraction; at scale 1, Fraction(value) skips the
+    gcd that Fraction(value, 1) computes."""
+    return Fraction(value) if scale == 1 else Fraction(value, scale)
 
 
 def _packed(values: list[int]) -> bytes | tuple[int, ...]:

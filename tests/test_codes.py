@@ -3,13 +3,17 @@ rank conditions, bandwidth accounting, and the search harness."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clustercap.capacity import Variant, min_alpha, system_capacity, weight_sequence
 from clustercap.codes import (
     ALL_NODES,
+    INSTANCE,
+    SEPARATE_NODE,
     AlignmentFailure,
     CodeInstance,
     NodeContents,
@@ -30,6 +34,7 @@ from clustercap.codes import (
     search_construction,
     verify_instance,
 )
+from clustercap.model import validate_config
 from itertools import combinations
 
 
@@ -125,6 +130,33 @@ def test_repair_bandwidth_contract(inst):
     assert repair_bandwidth(inst, 3) == 4  # d * beta_C symbols
     for node in (1, 2, 4, 5):
         assert repair_bandwidth(inst, node) == 5  # beta_I + 3 * beta_C
+
+
+def test_instance_sits_on_the_tradeoff(inst):
+    """The constructed code meets the closed form: capacity 6 stores the
+    6-symbol file at the least alpha, 2; at tau = 2 the capacity falls
+    below 6 once beta_C drops to 9/10; and each repair reads the
+    bandwidth of its helper counts."""
+    nd, rp = INSTANCE.nodes, INSTANCE.repair
+    assert (nd.n, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross) == (5, 3, 2, 2, 1, 1, 3)
+    assert (rp.beta_intra, rp.beta_cross, rp.alpha) == (2, 1, 2)
+    assert system_capacity(INSTANCE) == 6
+    assert min_alpha(weight_sequence(INSTANCE, Variant.CSN_ONE_SEPARATE), 6) == 2
+    below = validate_config(
+        n=5, k=3, L=2, R=2, E=1, d_cross=3,
+        beta_intra=Fraction(9, 5), beta_cross=Fraction(9, 10), alpha=2,
+    )
+    assert system_capacity(below) == Fraction(29, 5)
+    homogeneous = validate_config(
+        n=5, k=3, L=2, R=2, E=1, d_cross=3, beta_intra=1, beta_cross=1, alpha=2
+    )
+    assert system_capacity(homogeneous) == 6
+    assert repair_bandwidth(inst, SEPARATE_NODE) == (rp.d_intra + rp.d_cross) * rp.beta_cross
+    for node in ALL_NODES:
+        if node != SEPARATE_NODE:
+            assert repair_bandwidth(inst, node) == (
+                rp.d_intra * rp.beta_intra + rp.d_cross * rp.beta_cross
+            )
 
 
 def test_repair_detects_corrupted_decode(inst):

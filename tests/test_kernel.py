@@ -56,7 +56,7 @@ def test_pure_scan_matches_naive_per_order_minimum():
         )
         ctx = _EvaluationContext(cfg)
         for dist in enumerate_distributions(nodes):
-            got = (ctx.minima[dist], ctx.first_order(dist))
+            got = (ctx.minima[ctx.distributions.index(dist)], ctx.first_order(dist))
             best = None
             key = lambda o: tuple(nodes.L + 1 if x == 0 else x for x in o.labels)
             for order in sorted(enumerate_orders(dist), key=key):
@@ -201,7 +201,8 @@ def _check_layout(layout, betas, memo, done):
             if own:
                 value = min(cuts)
                 labels = dist_rows[3][cuts.index(value)]
-                assert (ctx.minima[dist], ctx.first_order(dist)) == (value, labels), (cfg, dist)
+                least = ctx.minima[ctx.distributions.index(dist)]
+                assert (least, ctx.first_order(dist)) == (value, labels), (cfg, dist)
                 checked += 1
             if dist.separate == 1:
                 for value, j in zip(cuts, dist_rows[0]):
@@ -279,6 +280,7 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "sequencing.optimal_order_with_separate_at",
         "mincut._order_coefficients",
         "capacity.weight_values",
+        "oracle._cut_coefficients",
         "oracle._ifg_wiring",
         "oracle._lattice_edges",
         "oracle._lemma1_counterexample",

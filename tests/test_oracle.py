@@ -315,6 +315,37 @@ def test_cached_wiring_matches_reference_graph():
     assert oracle._ifg_wiring.cache_info().hits
 
 
+def test_cached_arcs_give_the_max_flow_of_the_built_graph():
+    """`ifg_mincut` runs Dinic on the residual arcs cached with the wiring,
+    and `max_flow` builds them from the `FlowGraph`: both give the same
+    value on every order of every tiny-family config and its E=2 and E=3
+    analogues, and on the 1000 criterion-2 triples, among them the 10
+    whose max-flow falls below the part-cut."""
+    tiny = oracle.FAMILIES["tiny"]().configs
+    configs = dict.fromkeys(tiny + tuple(_with_separate(c, E) for E in (2, 3) for c in tiny))
+    assert {c.nodes.E for c in configs} == {0, 1, 2, 3}
+    triples = sample_sweep_triples(1000, seed=0)
+    pairs = [
+        (config, order)
+        for config in configs
+        for dist in enumerate_distributions(config.nodes)
+        for order in enumerate_orders(dist)
+    ]
+    pairs += [(config, order) for config, _, order in triples]
+    for config, order in pairs:
+        graph = build_ifg(config, order)
+        assert ifg_mincut(config, order) == Fraction(max_flow(graph), graph.scale)
+    gaps = [
+        (config, order)
+        for config, _, order in triples
+        if ifg_mincut(config, order) < mincut(config, order).value
+    ]
+    assert len(gaps) == 10
+    pinned = cfg(9, 8, 2, 4, 1, 5, 2, 1, 7), ClusterOrder((0, 2, 1, 2, 2, 1, 1, 1))
+    assert pinned in gaps
+    assert (ifg_mincut(*pinned), mincut(*pinned).value) == (40, 42)
+
+
 def test_rejected_order_is_rejected_on_every_call():
     """Rejections are not cached: a bad order fails on its second call
     too, after the layout's valid orders have filled the caches."""
