@@ -66,15 +66,15 @@ def _coefficient(
 
 
 def _coefficients(
-    labels: tuple[int, ...], sep_label: int, d_intra: int, d_cross: int
+    labels: tuple[int, ...], d_intra: int, d_cross: int
 ) -> tuple[tuple[int, int, bool], ...]:
     """Per-position (beta_intra coeff, beta_cross coeff, is_separate) of a
-    label sequence in which `sep_label` marks the separate nodes."""
+    label sequence in which 0 marks the separate nodes."""
     seen: dict[int, int] = {}
     out = []
     for i, label in enumerate(labels, start=1):
         h = seen[label] = seen.get(label, 0) + 1
-        out.append(_coefficient(i, h, label == sep_label, d_intra, d_cross))
+        out.append(_coefficient(i, h, label == 0, d_intra, d_cross))
     return tuple(out)
 
 
@@ -86,7 +86,7 @@ def incoming_coefficients(
     Separate positions fold into the same shape with a zero intra
     coefficient and cross coefficient d - i + 1.
     """
-    return _coefficients(order.labels, 0, d_intra, d_cross)
+    return _coefficients(order.labels, d_intra, d_cross)
 
 
 def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> None:
@@ -117,7 +117,7 @@ def _order_coefficients(
     it is rejected again on every call."""
     _check_labels(labels, k, L, R, E)
     return _packed(
-        [x for a, b, _ in _coefficients(labels, 0, d_intra, d_cross) for x in (a, b)]
+        [x for a, b, _ in _coefficients(labels, d_intra, d_cross) for x in (a, b)]
     )
 
 

@@ -47,6 +47,10 @@ from .model import (
 )
 from .sequencing import horizontal_selection, vertical_order
 
+# bound apart from `_coefficient`, which Lemma 1 reads, so that a substitute
+# put there never reaches a cached cut table
+from .mincut import _coefficient as _cut_coefficient
+
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_STATE_BUDGET = 1_000_000  # lattice states per forward pass
@@ -75,7 +79,7 @@ def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> Bru
     minimizer when distributions are scanned in enumeration order and
     sequences in lexicographic order with the separate label sorting last.
     """
-    return _EvaluationContext(cfg, budget).search()
+    return _Search(cfg, budget).result()
 
 
 def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
@@ -106,7 +110,7 @@ def _cut_coefficients(
     pairs, ends = [], [0]
     for i in range(1, k + 1):
         for h in range(min(i, R) + 1):
-            pairs += _coefficient(i, h, h == 0, d_intra, d_cross)[:2]
+            pairs += _cut_coefficient(i, h, h == 0, d_intra, d_cross)[:2]
         ends.append(len(pairs) // 2)
     return _packed(pairs), _packed(ends)
 
@@ -159,9 +163,8 @@ def lattice_capacity(cfg: SystemConfig, budget: int = DEFAULT_STATE_BUDGET) -> F
 
 @lru_cache(maxsize=128)
 def _lattice_edges(E: int, L: int, R: int, k: int):
-    """(forward, backward, blocks, orders): the canonical selection lattice
-    of a layout (the states of `_moves`) as alpha-free edge lists, and the
-    layout's number of repair orders.
+    """(forward, backward, blocks): the canonical selection lattice of a
+    layout (the states of `_moves`) as alpha-free edge lists.
 
     Layer i holds the states of i selected nodes in descending order, so
     layer k is `enumerate_distributions`' order and the blocks[i] states
@@ -185,11 +188,7 @@ def _lattice_edges(E: int, L: int, R: int, k: int):
             t0, s0 = len(layer) - blocks[-2], len(nxt) - blocks[-1]
             backward.append(tuple((t - t0, s - s0, h) for t, s, h in edges if t >= t0 and h))
         layer = nxt
-    orders = sum(
-        order_count(SelectedNodeDistribution(separate=state[0], clusters=state[1:]))
-        for state in layer
-    )
-    return tuple(forward), tuple(backward), tuple(blocks), orders
+    return tuple(forward), tuple(backward), tuple(blocks)
 
 
 def _forward_values(forward, cuts: list[list[int]]) -> list[list[int]]:
@@ -209,6 +208,32 @@ def _forward_values(forward, cuts: list[list[int]]) -> list[list[int]]:
     return values
 
 
+def _separate_minima(forward, backward, blocks, cuts: list[list[int]]) -> list[int]:
+    """least[j - 1]: the least scaled cut of the orders of the one-separate
+    distributions that put the separate node at j, from the value pass
+    (`_forward_values`), the `_lattice_edges` backward edges and blocks,
+    and a `_cut_table`.
+
+    togo[x] is the least cut of positions j + 1..k by cluster moves from
+    (1, x), x in layer j - 1's block without a separate node, which joins
+    there its forward value and the separate node's cut."""
+    k = len(cuts) - 1
+    togo = [0] * blocks[k - 1]
+    least = [0] * k
+    for j in range(k, 0, -1):
+        if j < k:
+            row, after, togo = cuts[j + 1], togo, []
+            for t, s, h in backward[j - 1]:
+                v = row[h] + after[s]
+                if t == len(togo):  # the first move out of t
+                    togo.append(v)
+                elif v < togo[t]:
+                    togo[t] = v
+        reached = forward[j - 1][-blocks[j - 1] :]
+        least[j - 1] = cuts[j][0] + min(map(add, reached, togo))
+    return least
+
+
 def _scan_orders(dist: SelectedNodeDistribution):
     """(labels, ranks) of each repair order of `dist` in scan order:
     lexicographic with the separate label after every cluster label;
@@ -223,6 +248,75 @@ def _scan_orders(dist: SelectedNodeDistribution):
             seen[x] += 1
             ranks.append(0 if x == sep else seen[x])
         yield tuple(0 if x == sep else x for x in mapped), ranks
+
+
+class _Search:
+    """The exhaustive search of one config, under `budget` repair orders
+    (DEFAULT_BUDGET when None), computed in one pass: the budget on the
+    distributions' order count, before any lattice is built; the layout's
+    `_lattice_edges`; the `_cut_table` at the scaled bandwidths; and one
+    value pass, whose last layer holds each distribution's least cut
+    (minima[p] of distributions[p], in enumeration order)."""
+
+    def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
+        nd = cfg.nodes
+        self.cfg = cfg
+        self.distributions = enumerate_distributions(nd)
+        budget = DEFAULT_BUDGET if budget is None else budget
+        # each order is a word of k labels out of L + 1: count past that bound
+        if (nd.L + 1) ** nd.k > budget:
+            size = sum(map(order_count, self.distributions))
+            if size > budget:
+                raise BudgetExceeded(size, budget)
+        self.lattice = _lattice_edges(nd.E, nd.L, nd.R, nd.k)
+        self.scale, *bandwidths = _scaled_bandwidths(cfg)
+        self.cut_table = _cut_table(cfg, *bandwidths)
+        self.forward = _forward_values(self.lattice[0], self.cut_table)
+        self.minima = self.forward[-1]
+
+    def first_order(self, dist: SelectedNodeDistribution) -> tuple[int, ...]:
+        """The first order of `dist` in scan order whose cut is its least.
+
+        togo[u] is the least cut of the positions left after the label
+        counts u (clusters 1..L, then the separate label), a mixed-radix
+        index; the walk takes at each position the first label in scan
+        order that keeps the least cut reachable."""
+        cuts = self.cut_table
+        sizes = dist.clusters + (dist.separate,)
+        sep, labels = len(dist.clusters), range(len(sizes))
+        strides = [prod(size + 1 for size in sizes[c + 1 :]) for c in labels]
+        togo = [0] * prod(size + 1 for size in sizes)
+        states = product(*(range(size, -1, -1) for size in sizes))
+        next(states)  # every label used up: nothing is left
+        index = len(togo) - 1
+        for used in states:
+            index -= 1
+            row, least = cuts[sum(used) + 1], None
+            for c in labels:
+                if used[c] < sizes[c]:
+                    v = row[0 if c == sep else used[c] + 1] + togo[index + strides[c]]
+                    if least is None or v < least:
+                        least = v
+            togo[index] = least
+        used, index, order = [0] * len(sizes), 0, []
+        for row in cuts[1:]:
+            for c in labels:
+                if used[c] < sizes[c]:
+                    step = index + strides[c]
+                    if row[0 if c == sep else used[c] + 1] + togo[step] == togo[index]:
+                        break
+            used[c] += 1
+            index = step
+            order.append(0 if c == sep else c + 1)
+        return tuple(order)
+
+    def result(self) -> BruteForceResult:
+        """The first least cut over every distribution and order."""
+        value = min(self.minima)
+        # index gives the first of equal values: the first distribution enumerated
+        dist = self.distributions[self.minima.index(value)]
+        order = ClusterOrder(self.first_order(dist))
+        return BruteForceResult(_fraction(value, self.scale), dist, order)
 
 
 # ---------------------------------------------------------------------------
@@ -583,198 +677,42 @@ def sweep_configs(
     return out
 
 
-class _once:
-    """A lazy attribute, as `functools.cached_property` without the lock
-    that Python 3.11 takes on each first read: the value lands in the
-    instance dict, where later reads find it before this descriptor."""
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
-class _EvaluationContext:
-    """What the claim checkers of one config share, each computed at most
-    once, when a checker first reads it, and the one place the exhaustive
-    search meets a config (under `budget` repair orders, DEFAULT_BUDGET
-    when None).
+class _EvaluationContext(_Search):
+    """What the claim checkers of one config share, computed once, in
+    dependency order: the search (`_Search`); the constructed cuts, that
+    is the `mincut` of each all-cluster distribution's vertical order and
+    `mincut_by_location` at each separate position j = 1..k; the least cut
+    at each j (`_separate_minima`); and the closed form (`system_capacity`).
+    The seams `mincut`, `mincut_by_location` and `system_capacity` are
+    looked up in this module when the context is built, so a substitute
+    put there is what the checkers see.
 
     A context serves one config only: `verify_claims` makes a fresh one per
-    config, and nothing keyed by alpha outlives it.  It weights structure
-    that its owners cache across configs and calls under keys without
-    alpha: the distributions per node layout (`model`), the horizontal
-    selection, the vertical order and the pinned-separate order per
-    layout, distribution or position (`sequencing`), the checked
-    coefficient pairs of an order per (labels, layout, d_intra, d_cross)
-    (`mincut`), the sorted weights per their arguments
-    (`capacity.weight_values`), and, in this module, the lattice edges
-    and repair-order count per layout, the cut table's coefficient pairs
-    per (k, R, d_intra, d_cross), Lemma 1's verdict per (layout,
-    d_intra), Lemma 2's verdict per (layout, d_intra, d_cross) and
-    Theorem 4's per (layout, d_cross, beta_intra, beta_cross); beside it,
-    `ifg_mincut` reads the flow graph's residual arcs per (labels,
-    layout, d_intra, d_cross).  The checkers compare scaled integers,
-    and read each distribution's least cut by its enumeration position.
-    `mincut`, `mincut_by_location` and `system_capacity` are looked up in
-    this module when first read, so a substitute put there is what the
-    checkers see.
+    config, and nothing keyed by alpha outlives it.  What it weights is
+    cached by its owners across configs under keys without alpha: the
+    distributions (`model`), the selections and orders (`sequencing`), an
+    order's coefficient pairs (`mincut`), the sorted weights (`capacity`),
+    and, in this module, the lattice edges, the cut table's coefficient
+    pairs and the verdicts of Lemmas 1-2 and Theorem 4.  The checkers
+    compare scaled integers, and read each distribution's least cut by its
+    enumeration position.
     """
 
     def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
-        self.cfg = cfg
-        self.budget = DEFAULT_BUDGET if budget is None else budget
-
-    @_once
-    def instance(self) -> str:
-        return self.cfg.describe()
-
-    @_once
-    def scaled(self) -> tuple[int, int, int, int]:
-        """_scaled_bandwidths(cfg): (scale, alpha, beta_intra, beta_cross)."""
-        return _scaled_bandwidths(self.cfg)
-
-    @_once
-    def distributions(self) -> tuple[SelectedNodeDistribution, ...]:
-        """Every distribution, in enumeration order, once their repair
-        orders (counted with the lattice) are known to fit the budget."""
-        dists = enumerate_distributions(self.cfg.nodes)
-        size = self.lattice[3]
-        if size > self.budget:
-            raise BudgetExceeded(size, self.budget)
-        return dists
-
-    @_once
-    def all_cluster(self) -> tuple[SelectedNodeDistribution, ...]:
-        """The distributions that select no separate node: the last ones
-        enumerated, the block that closes the lattice's last layer."""
-        return self.distributions[len(self.distributions) - self.lattice[2][-1] :]
-
-    @_once
-    def one_separate(self) -> list[SelectedNodeDistribution]:
-        """The distributions that select exactly one separate node."""
-        return [dist for dist in self.distributions if dist.separate == 1]
-
-    @_once
-    def cut_table(self) -> list[list[int]]:
-        """`_cut_table` at this config's scaled bandwidths."""
-        return _cut_table(self.cfg, *self.scaled[1:])
-
-    @_once
-    def lattice(self):
-        """`_lattice_edges` of this config's layout."""
-        nd = self.cfg.nodes
-        return _lattice_edges(nd.E, nd.L, nd.R, nd.k)
-
-    @_once
-    def forward(self) -> list[list[int]]:
-        """The value pass (`_forward_values`), once the budget is checked."""
-        self.distributions  # raises BudgetExceeded before any pass
-        return _forward_values(self.lattice[0], self.cut_table)
-
-    @_once
-    def minima(self) -> list[int]:
-        """minima[p]: the least scaled cut of distributions[p], p in
-        enumeration order: its state in the last layer of the canonical
-        lattice."""
-        return self.forward[-1]
-
-    @_once
-    def separate_minima(self) -> list[int]:
-        """least[j - 1]: the least scaled cut of the orders of the
-        one-separate distributions that put the separate node at j.
-
-        togo[x] is the least cut of positions j + 1..k by cluster moves
-        from (1, x), x in layer j - 1's block without a separate node, which
-        joins there its forward value and the separate node's cut."""
-        cuts, forward = self.cut_table, self.forward
-        _, backward, blocks, _ = self.lattice
-        k = self.cfg.nodes.k
-        togo = [0] * blocks[k - 1]
-        least = [0] * k
-        for j in range(k, 0, -1):
-            if j < k:
-                row, after, togo = cuts[j + 1], togo, []
-                for t, s, h in backward[j - 1]:
-                    v = row[h] + after[s]
-                    if t == len(togo):  # the first move out of t
-                        togo.append(v)
-                    elif v < togo[t]:
-                        togo[t] = v
-            reached = forward[j - 1][-blocks[j - 1] :]
-            least[j - 1] = cuts[j][0] + min(map(add, reached, togo))
-        return least
-
-    def first_order(self, dist: SelectedNodeDistribution) -> tuple[int, ...]:
-        """The first order of `dist` in scan order whose cut is its least.
-
-        togo[u] is the least cut of the positions left after the label
-        counts u (clusters 1..L, then the separate label), a mixed-radix
-        index; the walk takes at each position the first label in scan
-        order that keeps the least cut reachable."""
-        cuts = self.cut_table
-        sizes = dist.clusters + (dist.separate,)
-        sep, labels = len(dist.clusters), range(len(sizes))
-        strides = [prod(size + 1 for size in sizes[c + 1 :]) for c in labels]
-        togo = [0] * prod(size + 1 for size in sizes)
-        states = product(*(range(size, -1, -1) for size in sizes))
-        next(states)  # every label used up: nothing is left
-        index = len(togo) - 1
-        for used in states:
-            index -= 1
-            row, least = cuts[sum(used) + 1], None
-            for c in labels:
-                if used[c] < sizes[c]:
-                    v = row[0 if c == sep else used[c] + 1] + togo[index + strides[c]]
-                    if least is None or v < least:
-                        least = v
-            togo[index] = least
-        used, index, order = [0] * len(sizes), 0, []
-        for row in cuts[1:]:
-            for c in labels:
-                if used[c] < sizes[c]:
-                    step = index + strides[c]
-                    if row[0 if c == sep else used[c] + 1] + togo[step] == togo[index]:
-                        break
-            used[c] += 1
-            index = step
-            order.append(0 if c == sep else c + 1)
-        return tuple(order)
-
-    def search(self) -> BruteForceResult:
-        """The first least cut over every distribution and order."""
-        minima = self.minima
-        value = min(minima)
-        # index gives the first of equal values: the first distribution enumerated
-        dist = self.distributions[minima.index(value)]
-        order = ClusterOrder(self.first_order(dist))
-        return BruteForceResult(_fraction(value, self.scaled[0]), dist, order)
-
-    @_once
-    def vertical_cuts(self) -> list[Fraction]:
-        """Min-cut of the vertical order of each all-cluster distribution,
-        in the order of `all_cluster`."""
-        return [mincut(self.cfg, vertical_order(dist)).value for dist in self.all_cluster]
-
-    @_once
-    def by_location(self) -> list[Fraction]:
-        """mincut_by_location(cfg, j) for j = 1..k; empty when no
-        one-separate selection exists."""
-        if not self.one_separate:
-            return []
-        return [mincut_by_location(self.cfg, j) for j in range(1, self.cfg.nodes.k + 1)]
-
-    @_once
-    def capacity(self) -> Fraction:
-        return system_capacity(self.cfg)
+        super().__init__(cfg, budget)
+        dists, (_, backward, blocks) = self.distributions, self.lattice
+        self.instance = cfg.describe()
+        # the last distributions enumerated, the block without a separate node
+        self.all_cluster = dists[len(dists) - blocks[-1] :]
+        self.one_separate = [dist for dist in dists if dist.separate == 1]
+        self.vertical_cuts = [mincut(cfg, vertical_order(d)).value for d in self.all_cluster]
+        self.by_location, self.separate_minima = [], []
+        if self.one_separate:
+            self.by_location = [mincut_by_location(cfg, j) for j in range(1, cfg.nodes.k + 1)]
+            self.separate_minima = _separate_minima(
+                self.forward, backward, blocks, self.cut_table
+            )
+        self.capacity = system_capacity(cfg)
 
 
 @lru_cache(maxsize=4096)
@@ -784,40 +722,35 @@ def _lemma1_counterexample(nodes: NodeParams, d_intra: int) -> str | None:
     distribution whose sorted intra coefficients differ from those of its
     first order.
 
-    Each state of the lattice without separate nodes carries the sorted
-    intra multisets of the orders reaching it, so a distribution fails
-    when its state holds more than one.  An intra coefficient depends on
-    neither d_cross nor the bandwidths."""
-    caps = (0,) + (nodes.R,) * nodes.L
-    layer = {(0,) * len(caps): {()}}
-    for i in range(1, nodes.k + 1):
-        nxt: dict[tuple[int, ...], set] = {}
-        for state, bags in layer.items():
-            for h, succ in _moves(state, caps):
-                a = _coefficient(i, h, False, d_intra, 0)[0]
-                nxt.setdefault(succ, set()).update(tuple(sorted(bag + (a,))) for bag in bags)
-        layer = nxt
-    for state in sorted(layer, reverse=True):  # enumeration order
-        if len(layer[state]) > 1:
-            dist = SelectedNodeDistribution(separate=0, clusters=state[1:])
-            bags = (
-                (labels, tuple(sorted(_coefficient(i, h, False, d_intra, 0)[0]
-                                      for i, h in enumerate(ranks, start=1))))
-                for labels, ranks in _scan_orders(dist)
-            )
-            _, reference = next(bags)
-            for labels, bag in bags:
-                if bag != reference:
-                    return f"s={dist} order={labels} intra multiset {bag} != {reference}"
+    An order gives each cluster's selected nodes the ranks 1, 2, ... once
+    each, so the claim holds when each rank's intra coefficient is the
+    same at every position; only otherwise are the orders walked.  An
+    intra coefficient depends on neither d_cross nor the bandwidths."""
+    if all(
+        len({_coefficient(i, h, False, d_intra, 0)[0] for i in range(h, nodes.k + 1)}) == 1
+        for h in range(1, min(nodes.k, nodes.R) + 1)
+    ):
+        return None
+    for dist in enumerate_distributions(nodes):
+        if dist.separate:
+            continue
+        bags = (
+            (labels, tuple(sorted(_coefficient(i, h, False, d_intra, 0)[0]
+                                  for i, h in enumerate(ranks, start=1))))
+            for labels, ranks in _scan_orders(dist)
+        )
+        _, reference = next(bags)
+        for labels, bag in bags:
+            if bag != reference:
+                return f"s={dist} order={labels} intra multiset {bag} != {reference}"
     return None
 
 
 def _check_lemma1(ctx: _EvaluationContext):
     """The multiset of intra coefficients is the same for every repair
     sequence of a fixed all-cluster distribution."""
-    counter = None
-    if ctx.all_cluster:
-        counter = _lemma1_counterexample(ctx.cfg.nodes, ctx.cfg.repair.d_intra)
+    nodes, d_intra = ctx.cfg.nodes, ctx.cfg.repair.d_intra
+    counter = _lemma1_counterexample(nodes, d_intra) if ctx.all_cluster else None
     return counter is None, counter
 
 
@@ -846,14 +779,13 @@ def _check_lemma2(ctx: _EvaluationContext):
 def _check_prop1(ctx: _EvaluationContext):
     """The vertical order minimizes the min-cut within each all-cluster
     distribution."""
-    scale = ctx.scaled[0]
     dists = ctx.all_cluster
     minima = ctx.minima[len(ctx.minima) - len(dists) :]
     for dist, value, constructed in zip(dists, minima, ctx.vertical_cuts):
         # value / scale < constructed, on integers
-        if value * constructed.denominator < constructed.numerator * scale:
+        if value * constructed.denominator < constructed.numerator * ctx.scale:
             return False, (
-                f"s={dist}: order {ctx.first_order(dist)} gives {_fraction(value, scale)} "
+                f"s={dist}: order {ctx.first_order(dist)} gives {_fraction(value, ctx.scale)} "
                 f"< {constructed}"
             )
     return True, None
@@ -879,7 +811,7 @@ def _check_thm1(ctx: _EvaluationContext):
     sequence minimizes over all one-separate selections and orders."""
     if not ctx.one_separate:
         return True, None
-    scale = ctx.scaled[0]
+    scale = ctx.scale
     by_location = ctx.by_location
     # an integer cut is below a bound iff it is below the bound's ceiling
     scaled = [-(-bound.numerator * scale // bound.denominator) for bound in by_location]
@@ -969,8 +901,8 @@ def _check_closed_vs_search(ctx: _EvaluationContext):
     it, and past the largest weight as well."""
     closed = ctx.capacity
     # closed != least / scale, on integers
-    if closed.numerator * ctx.scaled[0] != min(ctx.minima) * closed.denominator:
-        found = ctx.search()
+    if closed.numerator * ctx.scale != min(ctx.minima) * closed.denominator:
+        found = ctx.result()
         return False, (
             f"closed form {closed} != search {found.value} at "
             f"s={found.distribution} order={found.order}"

@@ -26,6 +26,7 @@ from clustercap.capacity import (
 from clustercap.mincut import mincut
 from clustercap.model import (
     ClusterOrder,
+    ConfigError,
     NodeParams,
     RepairParams,
     validate_config,
@@ -274,6 +275,16 @@ def test_compare_separate_capped_alpha_can_mask_reduction():
     )
     verdict = compare_separate(nodes, repair)
     assert verdict.outcome is Outcome.EQUAL
+
+
+def test_compare_separate_rejects_a_base_with_separate_nodes():
+    nodes = NodeParams(n=13, k=9, L=3, R=4, E=1)
+    repair = RepairParams(
+        alpha=Fraction(10), d_intra=3, beta_intra=Fraction(2),
+        d_cross=7, beta_cross=Fraction(1),
+    )
+    with pytest.raises(ConfigError, match="^base system must have E=0, got E=1$"):
+        compare_separate(nodes, repair)
 
 
 @given(

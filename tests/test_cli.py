@@ -2,6 +2,7 @@
 byte stability."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -324,6 +325,10 @@ def test_verify_tiny_family(tmp_path, capsys):
     assert payload["failed"] == 0
     assert payload["total"] == len(payload["reports"])
     assert all(r["passed"] for r in payload["reports"])
+    # the report, byte for byte
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "63efc4a33dd13f44c9b84ee99abb08744f203d8385f897f2f455711feccc20fa"
+    )
 
 
 def test_verify_small_sweep_family(tmp_path, capsys):
@@ -336,6 +341,10 @@ def test_verify_small_sweep_family(tmp_path, capsys):
     payload = json.loads(out_file.read_text(encoding="utf-8"))
     assert payload["failed"] == 0
     assert payload["total"] > 50_000
+    # the report, byte for byte
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "dffe4e718ecf229c227600dbb84e967003e48e70c7dcc28140b4fa6507f19054"
+    )
 
 
 def _verify_payload(family, reports):
@@ -402,6 +411,15 @@ def test_compare_command(capsys):
     assert "verdict = Reduced" in out
     assert "capacity without separate node = 69" in out
     assert "capacity with separate node = 66" in out
+
+
+def test_compare_n_other_than_base_size_exit_2(capsys):
+    code, out, err = run(
+        capsys, "compare", "--n", "13", "--k", "9", "--L", "3", "--R", "4", "--dC", "7",
+        "--betaI", "2", "--betaC", "1", "--alpha", "1000",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --n 13 inconsistent with L*R=12 (base system has E=0)\n"
 
 
 def test_compare_equal_case_json(capsys):

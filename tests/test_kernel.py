@@ -23,7 +23,8 @@ from clustercap.oracle import (
     ALL_CLAIMS,
     SWEEP_BETA_PAIRS,
     VerificationFamily,
-    _EvaluationContext,
+    _Search,
+    _separate_minima,
     brute_force_capacity,
     ifg_mincut,
     sweep_configs,
@@ -54,9 +55,9 @@ def test_pure_scan_matches_naive_per_order_minimum():
             n=nodes.n, k=nodes.k, L=nodes.L, R=nodes.R, E=nodes.E,
             d_cross=d_cross, beta_intra=beta_i, beta_cross=beta_c, alpha=alpha,
         )
-        ctx = _EvaluationContext(cfg)
+        search = _Search(cfg)
         for dist in enumerate_distributions(nodes):
-            got = (ctx.minima[ctx.distributions.index(dist)], ctx.first_order(dist))
+            got = (search.minima[search.distributions.index(dist)], search.first_order(dist))
             best = None
             key = lambda o: tuple(nodes.L + 1 if x == 0 else x for x in o.labels)
             for order in sorted(enumerate_orders(dist), key=key):
@@ -191,7 +192,7 @@ def _check_layout(layout, betas, memo, done):
     checked = 0
     for alpha in sorted(set().union(*grids.values())):
         cfg = SystemConfig(nodes, RepairParams(Fraction(alpha), R - 1, bi, d_cross, bc))
-        ctx = _EvaluationContext(cfg)
+        search = _Search(cfg)
         pinned = {}
         for dist, dist_rows in rows.items():
             own = alpha in grids.get(dist, ())
@@ -201,15 +202,17 @@ def _check_layout(layout, betas, memo, done):
             if own:
                 value = min(cuts)
                 labels = dist_rows[3][cuts.index(value)]
-                least = ctx.minima[ctx.distributions.index(dist)]
-                assert (least, ctx.first_order(dist)) == (value, labels), (cfg, dist)
+                least = search.minima[search.distributions.index(dist)]
+                assert (least, search.first_order(dist)) == (value, labels), (cfg, dist)
                 checked += 1
             if dist.separate == 1:
                 for value, j in zip(cuts, dist_rows[0]):
                     if value < pinned.get(j, value + 1):
                         pinned[j] = value
         if alpha in pinned_grid:
-            assert ctx.separate_minima == [pinned[j] for j in range(k)], cfg
+            _, backward, blocks = search.lattice
+            least = _separate_minima(search.forward, backward, blocks, search.cut_table)
+            assert least == [pinned[j] for j in range(k)], cfg
     return checked
 
 

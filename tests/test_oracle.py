@@ -611,6 +611,60 @@ def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
     )
 
 
+def test_prop2_flags_planted_violation(monkeypatch):
+    """The horizontal selection's vertical cut raised by 3/2 lies above
+    another all-cluster distribution's; the report names that one."""
+    config = cfg(7, 4, 3, 2, 1, 4, Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))
+    star = vertical_order(horizontal_selection(config.nodes, 0))
+    original = oracle.mincut
+
+    def raised(c, o):
+        r = original(c, o)
+        value = r.value + (Fraction(3, 2) if o == star else 0)
+        return CutReport(value=value, weights=r.weights, capped=r.capped)
+
+    monkeypatch.setattr(oracle, "mincut", raised)
+    family = VerificationFamily(name="planted", configs=(config,), claims=("prop2-horizontal",))
+    (report,) = verify_claims(family)
+    assert not report.passed
+    assert report.counterexample == "s=(0; 2, 1, 1) gives 47/6 < 49/6 at s*=(0; 2, 2, 0)"
+
+
+def test_prop2_passes_without_an_all_cluster_selection():
+    """k = 5 > L*R = 4: every selection takes a separate node, so there is
+    no horizontal selection to check, and every claim passes."""
+    configs = tuple(
+        cfg(7, 5, 2, 2, 3, d_cross, 2, 1, alpha) for d_cross in (4, 5) for alpha in (1, 3, 100)
+    )
+    family = VerificationFamily(name="k>LR", configs=configs, claims=oracle.ALL_CLAIMS)
+    reports = verify_claims(family)
+    assert len(reports) == len(configs) * len(oracle.ALL_CLAIMS)
+    assert all(r.passed and r.counterexample is None for r in reports)
+
+
+def test_thm2_flags_planted_violation(monkeypatch):
+    """The constructed cut at the last location raised above the one before
+    it: the first increase is reported."""
+    by_location = oracle.mincut_by_location
+    assert [by_location(PLANTED, j) for j in range(1, 6)] == [Fraction(22, 3)] + [7] * 4
+    monkeypatch.setattr(
+        oracle, "mincut_by_location", lambda c, j: by_location(c, j) + (RAISE if j == 5 else 0)
+    )
+    report = _only_report("thm2-monotone")
+    assert not report.passed
+    assert report.counterexample == "MC at j=4 is 7 < MC at j=5 = 7001/1000"
+
+
+def test_thm3_flags_planted_violation(monkeypatch):
+    """A closed form raised by RAISE departs from the cut with the separate
+    node last."""
+    closed = oracle.system_capacity
+    monkeypatch.setattr(oracle, "system_capacity", lambda c: closed(c) + RAISE)
+    report = _only_report("thm3-capacity")
+    assert not report.passed
+    assert report.counterexample == "MC at j=k is 7 but closed form gives 7001/1000"
+
+
 def test_verify_claims_pass_with_two_or_three_separate_nodes(monkeypatch):
     """The tiny family's E=2 and E=3 analogues pass every claim, and
     closed-form-vs-search compares there: a planted error fails it."""
@@ -849,6 +903,20 @@ def test_budget_is_checked_before_any_scan(monkeypatch):
     with pytest.raises(BudgetExceeded) as err:
         verify_claims(family)
     assert (err.value.size, err.value.budget, counts["pass"]) == (size, size - 1, 0)
+
+
+def test_budget_is_checked_before_any_lattice_is_built():
+    """An over-budget layout (about 1.3e42 orders) is refused on its order
+    count alone: its lattice edges are neither built nor cached."""
+    config = cfg(70, 45, 10, 6, 10, 40, 2, 1, 100)
+    oracle._lattice_edges.cache_clear()
+    with pytest.raises(BudgetExceeded) as err:
+        brute_force_capacity(config)
+    assert err.value.size == enumeration_size(config.nodes) > 10**42
+    family = VerificationFamily(name="huge", configs=(config,), claims=oracle.ALL_CLAIMS)
+    with pytest.raises(BudgetExceeded):
+        verify_claims(family)
+    assert oracle._lattice_edges.cache_info().misses == 0
 
 
 def test_brute_force_results_are_pinned():
