@@ -477,7 +477,9 @@ def verify_instance(inst: CodeInstance) -> None:
     """Full acceptance check of an instance; raises on any defect.
 
     Collection is checked on all 10 subsets and repair on the 6 unit
-    messages (linearity extends both to all messages).
+    messages (linearity extends both to all messages).  The last two
+    raises cannot fire once `_mds_ok` and `repair`'s own decode check have
+    passed, because the code is linear; they stay as a guard.
     """
     if not _mds_ok(inst):
         raise SingularSystem("a 3-subset of columns is singular")

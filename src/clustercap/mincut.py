@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ClusterOrder, Record, SystemConfig, _packed, _scaled_bandwidths
+from .model import ClusterOrder, Record, SystemConfig, _scaled_bandwidths
 
 WeightVector = tuple[Fraction, ...]
 
@@ -43,12 +43,18 @@ class CutReport(Record):
 def relative_location(order: ClusterOrder) -> tuple[int, ...]:
     """h_i = how many of the first i entries share position i's label
     (separate entries are counted among themselves)."""
+    return tuple(_locations(order.labels))
+
+
+def _locations(labels: tuple[int, ...]) -> list[int]:
+    """`relative_location` of a label sequence: the one count of h_i that
+    the coefficients, the label check and the flow-graph wiring read."""
     seen: dict[int, int] = {}
     out = []
-    for label in order.labels:
-        seen[label] = seen.get(label, 0) + 1
-        out.append(seen[label])
-    return tuple(out)
+    for label in labels:
+        seen[label] = h = seen.get(label, 0) + 1
+        out.append(h)
+    return out
 
 
 def _coefficient(
@@ -66,16 +72,15 @@ def _coefficient(
 
 
 def _coefficients(
-    labels: tuple[int, ...], d_intra: int, d_cross: int
+    labels: tuple[int, ...], locations: list[int], d_intra: int, d_cross: int
 ) -> tuple[tuple[int, int, bool], ...]:
     """Per-position (beta_intra coeff, beta_cross coeff, is_separate) of a
-    label sequence in which 0 marks the separate nodes."""
-    seen: dict[int, int] = {}
-    out = []
-    for i, label in enumerate(labels, start=1):
-        h = seen[label] = seen.get(label, 0) + 1
-        out.append(_coefficient(i, h, label == 0, d_intra, d_cross))
-    return tuple(out)
+    label sequence in which 0 marks the separate nodes, given its relative
+    locations (`_locations`)."""
+    return tuple(
+        _coefficient(i, h, label == 0, d_intra, d_cross)
+        for i, (label, h) in enumerate(zip(labels, locations), start=1)
+    )
 
 
 def incoming_coefficients(
@@ -86,18 +91,18 @@ def incoming_coefficients(
     Separate positions fold into the same shape with a zero intra
     coefficient and cross coefficient d - i + 1.
     """
-    return _coefficients(order.labels, d_intra, d_cross)
+    return _coefficients(order.labels, _locations(order.labels), d_intra, d_cross)
 
 
-def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> None:
-    """Raise ValueError unless `labels` is a repair sequence of the layout:
-    k entries, cluster labels at most L, at most R nodes of each cluster
-    and at most E separate nodes."""
+def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> list[int]:
+    """The relative locations (`_locations`) of `labels`, once checked to
+    be a repair sequence of the layout: k entries, cluster labels at most
+    L, at most R nodes of each cluster and at most E separate nodes.
+    Raise ValueError otherwise."""
     if len(labels) != k:
         raise ValueError(f"order has {len(labels)} entries, config has k={k}")
-    seen: dict[int, int] = {}
-    for label in labels:
-        h = seen[label] = seen.get(label, 0) + 1
+    locations = _locations(labels)
+    for label, h in zip(labels, locations):
         if label == 0:
             if h > E:
                 raise ValueError(f"order selects {h} separate nodes but E={E}")
@@ -105,25 +110,24 @@ def _check_labels(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> No
             raise ValueError(f"cluster label exceeds L={L} in {ClusterOrder(labels)}")
         elif h > R:
             raise ValueError(f"order selects {h} nodes from cluster {label} but R={R}")
+    return locations
 
 
 @lru_cache(maxsize=16384)
 def _order_coefficients(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
-) -> bytes | tuple[int, ...]:
-    """(a_1, b_1, ..., a_k, b_k), packed: the beta_intra and beta_cross
+) -> tuple[int, ...]:
+    """(a_1, b_1, ..., a_k, b_k): the beta_intra and beta_cross
     coefficients of each position of a repair sequence, once `labels` is
     checked against the layout.  A rejected sequence caches nothing, so
     it is rejected again on every call."""
-    _check_labels(labels, k, L, R, E)
-    return _packed(
-        [x for a, b, _ in _coefficients(labels, d_intra, d_cross) for x in (a, b)]
+    locations = _check_labels(labels, k, L, R, E)
+    return tuple(
+        [x for a, b, _ in _coefficients(labels, locations, d_intra, d_cross) for x in (a, b)]
     )
 
 
-def _checked_coefficients(
-    cfg: SystemConfig, order: ClusterOrder
-) -> bytes | tuple[int, ...]:
+def _checked_coefficients(cfg: SystemConfig, order: ClusterOrder) -> tuple[int, ...]:
     """_order_coefficients of `order` under the layout and helper counts
     of `cfg`."""
     nd, rp = cfg.nodes, cfg.repair

@@ -276,15 +276,6 @@ def _fraction(value: int, scale: int) -> Fraction:
     return Fraction(value) if scale == 1 else Fraction(value, scale)
 
 
-def _packed(values: list[int]) -> bytes | tuple[int, ...]:
-    """`values` as an immutable sequence for a cache entry: bytes, one
-    byte per value, when every value is below 256, else a tuple."""
-    try:
-        return bytes(values)
-    except ValueError:
-        return tuple(values)
-
-
 class SelectedNodeDistribution(Record):
     """How the k collector nodes spread over clusters: `separate` of them
     are separate nodes, clusters[i] sit in cluster i+1 (counts
@@ -413,6 +404,13 @@ def order_count(dist: SelectedNodeDistribution) -> int:
     for c in dist.clusters:
         total //= factorial(c)
     return total
+
+
+@lru_cache(maxsize=128)
+def enumeration_size(nodes: NodeParams) -> int:
+    """Total number of repair sequences over all distributions, cached per
+    node layout like `enumerate_distributions`."""
+    return sum(map(order_count, enumerate_distributions(nodes)))
 
 
 def iter_orders(dist: SelectedNodeDistribution) -> Iterator[ClusterOrder]:

@@ -28,7 +28,7 @@ from .capacity import (
     system_capacity,
     weight_values,
 )
-from .mincut import _check_labels, _coefficient, incoming_coefficients, mincut
+from .mincut import _check_labels, _coefficient, _locations, incoming_coefficients, mincut
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -39,10 +39,9 @@ from .model import (
     SystemConfig,
     _fraction,
     _multiset_permutations,
-    _packed,
     _scaled_bandwidths,
     enumerate_distributions,
-    order_count,
+    enumeration_size,
     validate_config,
 )
 from .sequencing import horizontal_selection, vertical_order
@@ -65,11 +64,6 @@ class BruteForceResult(Record):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "distribution", distribution)
         object.__setattr__(self, "order", order)
-
-
-def enumeration_size(nodes: NodeParams) -> int:
-    """Total number of repair sequences over all distributions."""
-    return sum(order_count(d) for d in enumerate_distributions(nodes))
 
 
 def brute_force_capacity(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> BruteForceResult:
@@ -102,17 +96,17 @@ def _moves(state: tuple[int, ...], caps: tuple[int, ...]):
 @lru_cache(maxsize=1024)
 def _cut_coefficients(
     k: int, R: int, d_intra: int, d_cross: int
-) -> tuple[bytes | tuple[int, ...], bytes | tuple[int, ...]]:
-    """(pairs, ends), packed: pairs holds the `_coefficient` pair (a, b)
-    of the node at position i = 1..k whose within-cluster rank is h =
-    0..min(i, R), h = 0 for a separate node, row by row; row i holds the
-    pairs ends[i - 1] to ends[i] - 1, and ends[0] = 0."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pairs, ends): pairs holds the `_coefficient` pair (a, b) of the
+    node at position i = 1..k whose within-cluster rank is h = 0..min(i,
+    R), h = 0 for a separate node, row by row; row i holds the pairs
+    ends[i - 1] to ends[i] - 1, and ends[0] = 0."""
     pairs, ends = [], [0]
     for i in range(1, k + 1):
         for h in range(min(i, R) + 1):
             pairs += _cut_coefficient(i, h, h == 0, d_intra, d_cross)[:2]
         ends.append(len(pairs) // 2)
-    return _packed(pairs), _packed(ends)
+    return tuple(pairs), tuple(ends)
 
 
 def _cut_table(cfg: SystemConfig, alpha: int, beta_i: int, beta_c: int) -> list[list[int]]:
@@ -242,32 +236,26 @@ def _scan_orders(dist: SelectedNodeDistribution):
     sep = len(dist.clusters) + 1
     items = [c for c, count in enumerate(dist.clusters, start=1) for _ in range(count)]
     for mapped in _multiset_permutations(items + [sep] * dist.separate):
-        seen = [0] * (sep + 1)
-        ranks = []
-        for x in mapped:
-            seen[x] += 1
-            ranks.append(0 if x == sep else seen[x])
-        yield tuple(0 if x == sep else x for x in mapped), ranks
+        labels = tuple(0 if x == sep else x for x in mapped)
+        yield labels, [h if x else 0 for x, h in zip(labels, _locations(labels))]
 
 
 class _Search:
     """The exhaustive search of one config, under `budget` repair orders
     (DEFAULT_BUDGET when None), computed in one pass: the budget on the
-    distributions' order count, before any lattice is built; the layout's
-    `_lattice_edges`; the `_cut_table` at the scaled bandwidths; and one
-    value pass, whose last layer holds each distribution's least cut
-    (minima[p] of distributions[p], in enumeration order)."""
+    layout's cached order total (`enumeration_size`), before any lattice
+    is built; the layout's `_lattice_edges`; the `_cut_table` at the
+    scaled bandwidths; and one value pass, whose last layer holds each
+    distribution's least cut (minima[p] of distributions[p], in
+    enumeration order)."""
 
     def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
         nd = cfg.nodes
         self.cfg = cfg
         self.distributions = enumerate_distributions(nd)
         budget = DEFAULT_BUDGET if budget is None else budget
-        # each order is a word of k labels out of L + 1: count past that bound
-        if (nd.L + 1) ** nd.k > budget:
-            size = sum(map(order_count, self.distributions))
-            if size > budget:
-                raise BudgetExceeded(size, budget)
+        if (size := enumeration_size(nd)) > budget:
+            raise BudgetExceeded(size, budget)
         self.lattice = _lattice_edges(nd.E, nd.L, nd.R, nd.k)
         self.scale, *bandwidths = _scaled_bandwidths(cfg)
         self.cut_table = _cut_table(cfg, *bandwidths)
@@ -382,11 +370,10 @@ def _residual_arcs(
 @lru_cache(maxsize=4096)
 def _ifg_wiring(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
-) -> tuple[bytes | tuple[int, ...], ...]:
+) -> tuple[tuple[int, ...], ...]:
     """(starts, to, rev, kinds, where): the residual arcs of the flow graph
-    of a repair sequence (`_residual_arcs`), packed, with one byte per arc
-    for its kind; where[j] is the forward arc of edge j in `build_ifg`'s
-    edge order.
+    of a repair sequence (`_residual_arcs`), with the kind of each arc;
+    where[j] is the forward arc of edge j in `build_ifg`'s edge order.
 
     Vertices: 0 is the source; original slot m has input 1 + 2m and output
     2 + 2m; newcomer step i has input 1 + 2n + 2i and output 2 + 2n + 2i;
@@ -394,12 +381,12 @@ def _ifg_wiring(
     (1..R) -> (c-1)*R + (r-1); separate e (1..E) -> L*R + (e-1).  A
     rejected sequence caches nothing, so it is rejected on every call.
     """
-    _check_labels(labels, k, L, R, E)
+    locations = _check_labels(labels, k, L, R, E)
     n = L * R + E
     new = 1 + 2 * n
     tails: list[int] = []
     heads: list[int] = []
-    kinds = bytearray()
+    kinds: list[int] = []
 
     def edge(u: int, v: int, kind: int) -> None:
         tails.append(u)
@@ -410,9 +397,7 @@ def _ifg_wiring(
         edge(1 + 2 * slot, 2 + 2 * slot, _ALPHA)
     occupant: dict[int, int] = {}  # replaced slot -> newcomer step index
     step_cluster: list[int] = []  # cluster label per newcomer step
-    seen: dict[int, int] = {}
-    for i, label in enumerate(labels):
-        h = seen[label] = seen.get(label, 0) + 1
+    for i, (label, h) in enumerate(zip(labels, locations)):
         if label == 0:
             slot = L * R + (h - 1)
             want = d_intra + d_cross
@@ -454,13 +439,13 @@ def _ifg_wiring(
     for i in range(k):
         edge(new + 1 + 2 * i, 2 * n + 2 * k + 1, _INFINITE)
     starts, to, rev, where = _residual_arcs(2 * n + 2 * k + 2, tails, heads)
-    arc_kinds = bytearray([_ZERO]) * len(to)
+    arc_kinds = [_ZERO] * len(to)
     for p, kind in zip(where, kinds):
         arc_kinds[p] = kind
-    return _packed(starts), _packed(to), _packed(rev), bytes(arc_kinds), _packed(where)
+    return tuple(starts), tuple(to), tuple(rev), tuple(arc_kinds), tuple(where)
 
 
-def _scaled_capacities(kinds: bytes, alpha: int, beta_i: int, beta_c: int):
+def _scaled_capacities(kinds: tuple[int, ...], alpha: int, beta_i: int, beta_c: int):
     """The capacity of each kind (`_ALPHA` ... `_ZERO`) of a graph whose
     arcs have `kinds`: infinite exceeds the sum of all finite edges."""
     infinite = (

@@ -89,6 +89,15 @@ def test_mincut_by_location_matches_capacity_at_last_position():
     assert mincut_by_location(cfg, 3) == system_capacity(cfg)
 
 
+def test_mincut_by_location_needs_a_separate_node():
+    cfg = validate_config(
+        n=4, k=3, L=2, R=2, E=0, d_cross=2, beta_intra=2, beta_cross=1, alpha=10
+    )
+    with pytest.raises(ConfigError) as err:
+        mincut_by_location(cfg, 1)
+    assert str(err.value) == "separate-node location sweep needs E >= 1"
+
+
 def test_mincut_by_location_early_position():
     # The separate newcomer at position 1 absorbs one cross-cluster edge
     # of every later repair, so the later weights drop by beta_C each:

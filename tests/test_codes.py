@@ -272,6 +272,76 @@ def test_verify_instance_passes(inst):
     verify_instance(inst)
 
 
+def _with_plans(inst, changes):
+    """`inst` with the plan of each node in `changes` replaced by its
+    value, or dropped where the value is None."""
+    plans = {**inst.plans, **changes}
+    return CodeInstance(q=inst.q, a=inst.a, b=inst.b,
+                        plans={node: p for node, p in plans.items() if p is not None})
+
+
+def _reading(plan, helpers):
+    """`plan` with its downloads cut to `helpers`, coefficients kept."""
+    return RepairPlan(
+        failed=plan.failed, partner=plan.partner, helpers=helpers,
+        coefficients=plan.coefficients, decode=plan.decode,
+    )
+
+
+def test_verify_instance_names_each_planted_defect(inst):
+    """Each acceptance step of verify_instance raises on its own defect,
+    with the earlier steps passing."""
+    separate = inst.plans[SEPARATE_NODE]
+    zeroed = RepairPlan(
+        failed=3, partner=None, helpers=separate.helpers,
+        coefficients={h: (0, 0) for h in separate.helpers}, decode=separate.decode,
+    )
+    planted = [
+        (CodeInstance(q=13, a=((1, 1), (2, 2), (3, 3)), b=inst.b, plans=inst.plans),
+         SingularSystem, "a 3-subset of columns is singular"),
+        (_with_plans(inst, {3: zeroed}),
+         AlignmentFailure, "separate-node rank conditions violated"),
+        (_with_plans(inst, {3: _reading(separate, (1, 2, 4))}),
+         AlignmentFailure, "separate repair must read exactly 4 symbols"),
+        (_with_plans(inst, {1: _reading(inst.plans[1], (3, 4))}),
+         AlignmentFailure, "cluster repair must read exactly 5 symbols"),
+    ]
+    for defective, kind, message in planted:
+        with pytest.raises(kind) as err:
+            verify_instance(defective)
+        assert type(err.value) is kind and str(err.value) == message
+
+
+def test_from_text_names_the_expected_label(inst):
+    text = inst.to_text()
+    planted = {
+        text.replace("\nA ", "\nZ ", 1):
+            "expected 'A', got ['Z', '8', '1', '6', '7', '5', '5']",
+        text.replace("plan 1 partner 2", "plan 1 mate 2", 1):
+            "expected 'partner' in plan line, got 'mate'",
+    }
+    for bad, message in planted.items():
+        with pytest.raises(ValueError) as err:
+            CodeInstance.from_text(bad)
+        assert str(err.value) == message
+
+
+def test_code_functions_reject_missing_inputs(inst):
+    with pytest.raises(ValueError) as err:
+        encode([1, 2, 3], inst)
+    assert str(err.value) == "message must have 6 symbols"
+    contents = encode([1, 2, 3, 4, 5, 6], inst)
+    with pytest.raises(ValueError) as err:
+        repair(1, _with_plans(inst, {1: None}), contents[1:])
+    assert str(err.value) == "no repair plan for node 1"
+    with pytest.raises(ValueError) as err:
+        check_rank_conditions(_with_plans(inst, {3: None}))
+    assert str(err.value) == "instance has no separate-node repair plan"
+    with pytest.raises(ValueError) as err:
+        _cluster_info(SEPARATE_NODE)
+    assert str(err.value) == "node 3 is not a cluster node"
+
+
 # SHA-256 of to_text() per (q, seed), recorded before the alignment filter
 # went in front of the decode solver: the filter must not change any
 # accepted instance

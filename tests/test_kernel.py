@@ -278,6 +278,7 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
     configs, one with a separate node and one without, put in it."""
     assert set(structural_caches) == {
         "model.enumerate_distributions",
+        "model.enumeration_size",
         "sequencing.horizontal_selection",
         "sequencing.vertical_order",
         "sequencing.optimal_order_with_separate_at",

@@ -127,6 +127,13 @@ def test_order_membership_and_distribution():
         assert order.matches(dist)
         assert order.distribution(2) == dist
     assert not ClusterOrder((1, 1, 1, 0)).matches(dist)
+    # a label above L, and counts that are not non-increasing, match no
+    # distribution rather than raise
+    with pytest.raises(ConfigError) as err:
+        ClusterOrder((1, 3, 0)).distribution(2)
+    assert str(err.value) == "label 3 exceeds L=2"
+    assert not ClusterOrder((1, 3, 0)).matches(dist)
+    assert not ClusterOrder((2, 2, 0)).matches(SelectedNodeDistribution(1, (2, 0)))
 
 
 @st.composite

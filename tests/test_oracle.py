@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustercap import oracle
+from clustercap import model, oracle
 from clustercap.capacity import capacity_achiever, system_capacity
 from clustercap.mincut import CutReport, incoming_coefficients, mincut, part_incoming_weights
 from clustercap.model import (
@@ -287,9 +287,8 @@ def _reference_build_ifg(cfg, order):
 
 def test_cached_wiring_matches_reference_graph():
     """Every order of every tiny-family config and its E=2 analogue, the
-    criterion-2 triples and two layouts too wide for bytes: the graph from
-    the cached wiring equals the reference graph edge for edge, on warm
-    caches too."""
+    criterion-2 triples and two wide layouts: the graph from the cached
+    wiring equals the reference graph edge for edge, on warm caches too."""
     tiny = oracle.FAMILIES["tiny"]().configs
     configs = dict.fromkeys(tiny + tuple(_with_separate(c, 2) for c in tiny))
     assert {c.nodes.E for c in configs} == {0, 1, 2}
@@ -300,7 +299,6 @@ def test_cached_wiring_matches_reference_graph():
         for order in enumerate_orders(dist)
     ]
     pairs += [(config, order) for config, _, order in sample_sweep_triples(1000, seed=0)]
-    # too wide for a byte per value, so the cached entries are tuples:
     # 278 vertices, and coefficients up to 301
     for wide in (cfg(128, 10, 12, 10, 8, 4, 2, 1, 10), cfg(304, 3, 2, 2, 300, 300, 2, 1, 10)):
         _, order = capacity_achiever(wide)
@@ -917,6 +915,29 @@ def test_budget_is_checked_before_any_lattice_is_built():
     with pytest.raises(BudgetExceeded):
         verify_claims(family)
     assert oracle._lattice_edges.cache_info().misses == 0
+
+
+def test_repeated_refusal_reads_the_cached_order_total(monkeypatch):
+    """A layout's order total is summed once: of two refusals of an
+    over-budget layout (2,170 distributions), the second evaluates no
+    `order_count`, wherever the search and the total look it up."""
+    config = cfg(70, 45, 10, 6, 10, 40, 2, 1, 100)
+    count, counted = model.order_count, []
+
+    def counted_order_count(dist):
+        counted.append(dist)
+        return count(dist)
+
+    for module in (model, oracle):
+        monkeypatch.setattr(module, "order_count", counted_order_count, raising=False)
+    model.enumeration_size.cache_clear()
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            brute_force_capacity(config)
+        refusals.append(len(counted))
+        counted.clear()
+    assert refusals == [2170, 0]
 
 
 def test_brute_force_results_are_pinned():

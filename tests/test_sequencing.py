@@ -36,6 +36,10 @@ def test_horizontal_selection_s0_restricted():
         horizontal_selection(nodes, 3)
     with pytest.raises(ConfigError):
         horizontal_selection(NodeParams(n=12, k=5, L=3, R=4, E=0), 1)
+    # s0 = 1 leaves 3 selected nodes for one cluster of 2
+    with pytest.raises(ConfigError) as err:
+        horizontal_selection(NodeParams(n=5, k=4, L=1, R=2, E=3), 1)
+    assert str(err.value) == "cannot place 3 selected nodes in 1x2"
 
 
 @pytest.mark.parametrize(
