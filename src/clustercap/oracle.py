@@ -24,11 +24,10 @@ from .capacity import (
     _layout_achiever,
     cluster_weight_values,
     compare_separate,
-    mincut_by_location,
     system_capacity,
     weight_values,
 )
-from .mincut import _check_labels, _coefficient, _locations, incoming_coefficients, mincut
+from .mincut import _check_labels, _coefficient, _locations, incoming_coefficients
 from .model import (
     BudgetExceeded,
     ClusterOrder,
@@ -44,7 +43,7 @@ from .model import (
     enumeration_size,
     validate_config,
 )
-from .sequencing import horizontal_selection, vertical_order
+from .sequencing import horizontal_selection, optimal_order_with_separate_at, vertical_order
 
 # bound apart from `_coefficient`, which Lemma 1 reads, so that a substitute
 # put there never reaches a cached cut table
@@ -298,13 +297,26 @@ class _Search:
             order.append(0 if c == sep else c + 1)
         return tuple(order)
 
+    def order_cut(self, order: ClusterOrder) -> int:
+        """The scaled cut of a repair order, a sum of its `cut_table`
+        entries, once its labels are checked against the layout
+        (`_check_labels`, which raises ValueError on a bad order)."""
+        nd, labels = self.cfg.nodes, order.labels
+        locations = _check_labels(labels, nd.k, nd.L, nd.R, nd.E)
+        return sum([row[h if label else 0]
+                    for row, label, h in zip(self.cut_table[1:], labels, locations)])
+
+    def fraction(self, value: int) -> Fraction:
+        """A scaled cut as the Fraction it stands for."""
+        return _fraction(value, self.scale)
+
     def result(self) -> BruteForceResult:
         """The first least cut over every distribution and order."""
         value = min(self.minima)
         # index gives the first of equal values: the first distribution enumerated
         dist = self.distributions[self.minima.index(value)]
         order = ClusterOrder(self.first_order(dist))
-        return BruteForceResult(_fraction(value, self.scale), dist, order)
+        return BruteForceResult(self.fraction(value), dist, order)
 
 
 # ---------------------------------------------------------------------------
@@ -665,22 +677,23 @@ def sweep_configs(
 class _EvaluationContext(_Search):
     """What the claim checkers of one config share, computed once, in
     dependency order: the search (`_Search`); the constructed cuts, that
-    is the `mincut` of each all-cluster distribution's vertical order and
-    `mincut_by_location` at each separate position j = 1..k; the least cut
-    at each j (`_separate_minima`); and the closed form (`system_capacity`).
-    The seams `mincut`, `mincut_by_location` and `system_capacity` are
-    looked up in this module when the context is built, so a substitute
-    put there is what the checkers see.
+    is the scaled cut (`order_cut`) of each all-cluster distribution's
+    vertical order and of the constructed order with the separate node at
+    each position j = 1..k; the least cut at each j (`_separate_minima`);
+    and the closed form (`system_capacity`).  The seams `vertical_order`,
+    `horizontal_selection`, `optimal_order_with_separate_at` and
+    `system_capacity` are looked up in this module when they are used, so
+    a substitute put there is what the checkers see.
 
     A context serves one config only: `verify_claims` makes a fresh one per
     config, and nothing keyed by alpha outlives it.  What it weights is
     cached by its owners across configs under keys without alpha: the
-    distributions (`model`), the selections and orders (`sequencing`), an
-    order's coefficient pairs (`mincut`), the sorted weights (`capacity`),
-    and, in this module, the lattice edges, the cut table's coefficient
-    pairs and the verdicts of Lemmas 1-2 and Theorem 4.  The checkers
-    compare scaled integers, and read each distribution's least cut by its
-    enumeration position.
+    distributions (`model`), the selections and orders (`sequencing`), the
+    sorted weights (`capacity`), and, in this module, the lattice edges,
+    the cut table's coefficient pairs and the verdicts of Lemmas 1-2 and
+    Theorem 4.  The checkers compare scaled integers, read each
+    distribution's least cut by its enumeration position, and turn a cut
+    into its Fraction (`fraction`) only to report it.
     """
 
     def __init__(self, cfg: SystemConfig, budget: int | None = None) -> None:
@@ -690,10 +703,11 @@ class _EvaluationContext(_Search):
         # the last distributions enumerated, the block without a separate node
         self.all_cluster = dists[len(dists) - blocks[-1] :]
         self.one_separate = [dist for dist in dists if dist.separate == 1]
-        self.vertical_cuts = [mincut(cfg, vertical_order(d)).value for d in self.all_cluster]
+        self.vertical_cuts = [self.order_cut(vertical_order(d)) for d in self.all_cluster]
         self.by_location, self.separate_minima = [], []
         if self.one_separate:
-            self.by_location = [mincut_by_location(cfg, j) for j in range(1, cfg.nodes.k + 1)]
+            self.by_location = [self.order_cut(optimal_order_with_separate_at(cfg.nodes, j))
+                                for j in range(1, cfg.nodes.k + 1)]
             self.separate_minima = _separate_minima(
                 self.forward, backward, blocks, self.cut_table
             )
@@ -767,11 +781,10 @@ def _check_prop1(ctx: _EvaluationContext):
     dists = ctx.all_cluster
     minima = ctx.minima[len(ctx.minima) - len(dists) :]
     for dist, value, constructed in zip(dists, minima, ctx.vertical_cuts):
-        # value / scale < constructed, on integers
-        if value * constructed.denominator < constructed.numerator * ctx.scale:
+        if value < constructed:
             return False, (
-                f"s={dist}: order {ctx.first_order(dist)} gives {_fraction(value, ctx.scale)} "
-                f"< {constructed}"
+                f"s={dist}: order {ctx.first_order(dist)} gives {ctx.fraction(value)} "
+                f"< {ctx.fraction(constructed)}"
             )
     return True, None
 
@@ -787,7 +800,9 @@ def _check_prop2(ctx: _EvaluationContext):
     best = cuts[ctx.all_cluster.index(star)]
     for dist, value in zip(ctx.all_cluster, cuts):
         if value < best:
-            return False, f"s={dist} gives {value} < {best} at s*={star}"
+            return False, (
+                f"s={dist} gives {ctx.fraction(value)} < {ctx.fraction(best)} at s*={star}"
+            )
     return True, None
 
 
@@ -796,20 +811,17 @@ def _check_thm1(ctx: _EvaluationContext):
     sequence minimizes over all one-separate selections and orders."""
     if not ctx.one_separate:
         return True, None
-    scale = ctx.scale
     by_location = ctx.by_location
-    # an integer cut is below a bound iff it is below the bound's ceiling
-    scaled = [-(-bound.numerator * scale // bound.denominator) for bound in by_location]
-    if all(map(le, scaled, ctx.separate_minima)):
+    if all(map(le, by_location, ctx.separate_minima)):
         return True, None
     for dist in ctx.one_separate:
         for labels, ranks in _scan_orders(dist):
             value = sum(map(list.__getitem__, ctx.cut_table[1:], ranks))
             j = labels.index(0)
-            if value < scaled[j]:
+            if value < by_location[j]:
                 return False, (
                     f"s={dist} order={labels} separate at {j + 1}: "
-                    f"{_fraction(value, scale)} < constructed {by_location[j]}"
+                    f"{ctx.fraction(value)} < constructed {ctx.fraction(by_location[j])}"
                 )
     raise AssertionError("the value pass found a cut below a bound that no order has")
 
@@ -820,7 +832,9 @@ def _check_thm2(ctx: _EvaluationContext):
     values = ctx.by_location
     for j, (x, y) in enumerate(zip(values, values[1:]), start=1):
         if x < y:
-            return False, f"MC at j={j} is {x} < MC at j={j + 1} = {y}"
+            return False, (
+                f"MC at j={j} is {ctx.fraction(x)} < MC at j={j + 1} = {ctx.fraction(y)}"
+            )
     return True, None
 
 
@@ -830,8 +844,9 @@ def _check_thm3(ctx: _EvaluationContext):
         return True, None
     last = ctx.by_location[-1]
     closed = ctx.capacity
-    if last != closed:
-        return False, f"MC at j=k is {last} but closed form gives {closed}"
+    # last / scale != closed, on integers
+    if last * closed.denominator != closed.numerator * ctx.scale:
+        return False, f"MC at j=k is {ctx.fraction(last)} but closed form gives {closed}"
     return True, None
 
 

@@ -282,7 +282,6 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "sequencing.horizontal_selection",
         "sequencing.vertical_order",
         "sequencing.optimal_order_with_separate_at",
-        "mincut._order_coefficients",
         "capacity.weight_values",
         "oracle._cut_coefficients",
         "oracle._ifg_wiring",

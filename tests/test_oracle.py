@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercap import model, oracle
-from clustercap.capacity import capacity_achiever, system_capacity
-from clustercap.mincut import CutReport, incoming_coefficients, mincut, part_incoming_weights
+from clustercap.capacity import capacity_achiever, mincut_by_location, system_capacity
+from clustercap.mincut import incoming_coefficients, mincut, part_incoming_weights
 from clustercap.model import (
     ClusterOrder,
     NodeParams,
@@ -318,7 +318,8 @@ def test_cached_arcs_give_the_max_flow_of_the_built_graph():
     and `max_flow` builds them from the `FlowGraph`: both give the same
     value on every order of every tiny-family config and its E=2 and E=3
     analogues, and on the 1000 criterion-2 triples, among them the 10
-    whose max-flow falls below the part-cut."""
+    whose max-flow falls below the part-cut.  On each of them the sum of
+    cut-table entries (`_Search.order_cut`) is the part-cut, scaled."""
     tiny = oracle.FAMILIES["tiny"]().configs
     configs = dict.fromkeys(tiny + tuple(_with_separate(c, E) for E in (2, 3) for c in tiny))
     assert {c.nodes.E for c in configs} == {0, 1, 2, 3}
@@ -330,9 +331,14 @@ def test_cached_arcs_give_the_max_flow_of_the_built_graph():
         for order in enumerate_orders(dist)
     ]
     pairs += [(config, order) for config, _, order in triples]
+    searches = {}
     for config, order in pairs:
         graph = build_ifg(config, order)
         assert ifg_mincut(config, order) == Fraction(max_flow(graph), graph.scale)
+        if config not in searches:
+            searches[config] = oracle._Search(config)
+        search = searches[config]
+        assert search.order_cut(order) == mincut(config, order).value * search.scale
     gaps = [
         (config, order)
         for config, _, order in triples
@@ -348,7 +354,9 @@ def test_rejected_order_is_rejected_on_every_call():
     """Rejections are not cached: a bad order fails on its second call
     too, after the layout's valid orders have filled the caches."""
     one_separate = cfg(5, 3, 2, 2, 1, 3, 2, 1, 10)
-    for evaluate in (mincut, build_ifg):
+    table_cut = oracle._Search(one_separate).order_cut
+    evaluators = (mincut, build_ifg, lambda config, order: table_cut(order))
+    for evaluate in evaluators:
         evaluate(one_separate, ClusterOrder((1, 1, 0)))
     rejected = {
         (0, 0, 1): "order selects 2 separate nodes but E=1",
@@ -357,7 +365,7 @@ def test_rejected_order_is_rejected_on_every_call():
         (1, 1): "order has 2 entries, config has k=3",
     }
     for labels, message in rejected.items():
-        for evaluate in (mincut, build_ifg):
+        for evaluate in evaluators:
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
                     evaluate(one_separate, ClusterOrder(labels))
@@ -551,20 +559,36 @@ def test_verify_claims_pass_on_rational_bandwidths():
 
 
 PLANTED = cfg(7, 5, 3, 2, 1, 4, Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))
+# PLANTED's layout and bandwidths at alpha = 2, where a clustered order's cut
+# lies above the constructed one (at alpha = 5/2 the two tie)
+PLANTED_AT_2 = cfg(7, 5, 3, 2, 1, 4, Fraction(3, 2), Fraction(1, 3), 2)
 RAISE = Fraction(1, 1000)
 
 
-def _only_report(claim):
-    family = VerificationFamily(name="planted", configs=(PLANTED,), claims=(claim,))
+def _only_report(claim, config=PLANTED):
+    family = VerificationFamily(name="planted", configs=(config,), claims=(claim,))
     (report,) = verify_claims(family)
     return report
 
 
+def _clustered(order):
+    """`order` with its cluster labels sorted and each separate node kept
+    in place: a wrong construction that repairs one cluster after another."""
+    labels = iter(sorted(x for x in order.labels if x))
+    return ClusterOrder(tuple(x and next(labels) for x in order.labels))
+
+
 def test_thm1_flags_planted_violation_on_rational_config(monkeypatch):
-    assert oracle._scaled_bandwidths(PLANTED)[0] == 6
-    by_location = oracle.mincut_by_location
-    monkeypatch.setattr(oracle, "mincut_by_location", lambda c, j: by_location(c, j) + RAISE)
-    report = _only_report("thm1-fixed-separate")
+    """A clustered order in place of the constructed one at every location:
+    the vertical order of the same selection cuts below it."""
+    assert oracle._scaled_bandwidths(PLANTED_AT_2)[0] == 6
+    constructed = oracle.optimal_order_with_separate_at
+    monkeypatch.setattr(
+        oracle,
+        "optimal_order_with_separate_at",
+        lambda nodes, j: _clustered(constructed(nodes, j)),
+    )
+    report = _only_report("thm1-fixed-separate", PLANTED_AT_2)
     assert not report.passed
     match = re.search(
         r"order=\(([\d, ]+)\) separate at (\d+): (\S+) < constructed (\S+)$",
@@ -574,58 +598,49 @@ def test_thm1_flags_planted_violation_on_rational_config(monkeypatch):
     labels = tuple(int(x) for x in match[1].split(","))
     j, value, bound = int(match[2]), Fraction(match[3]), Fraction(match[4])
     assert labels.index(0) + 1 == j
-    assert value == mincut(PLANTED, ClusterOrder(labels=labels)).value
-    assert bound == by_location(PLANTED, j) + RAISE
+    assert value == mincut(PLANTED_AT_2, ClusterOrder(labels=labels)).value
+    assert bound == mincut(PLANTED_AT_2, _clustered(constructed(PLANTED_AT_2.nodes, j))).value
     assert value < bound
     # the first violating order in scan order, byte for byte
     assert report.counterexample == (
-        "s=(1; 2, 2, 0) order=(1, 1, 2, 2, 0) separate at 5: 7 < constructed 7001/1000"
+        "s=(1; 2, 2, 0) order=(1, 2, 1, 2, 0) separate at 5: 6 < constructed 19/3"
     )
 
 
 def test_prop1_flags_planted_violation_on_rational_config(monkeypatch):
-    original = oracle.mincut
-
-    def raised(c, o):
-        r = original(c, o)
-        return CutReport(value=r.value + RAISE, weights=r.weights, capped=r.capped)
-
-    monkeypatch.setattr(oracle, "mincut", raised)
-    report = _only_report("prop1-vertical")
+    """A clustered order in place of the vertical one: the first least
+    order of the distribution cuts below it."""
+    vertical = oracle.vertical_order
+    monkeypatch.setattr(oracle, "vertical_order", lambda dist: _clustered(vertical(dist)))
+    report = _only_report("prop1-vertical", PLANTED_AT_2)
     assert not report.passed
     match = re.search(r"order \(([\d, ]+)\) gives (\S+) < (\S+)$", report.counterexample)
     assert match, report.counterexample
     labels = tuple(int(x) for x in match[1].split(","))
     value, bound = Fraction(match[2]), Fraction(match[3])
     dist = SelectedNodeDistribution(
-        separate=0, clusters=tuple(labels.count(c) for c in range(1, PLANTED.nodes.L + 1))
+        separate=0, clusters=tuple(labels.count(c) for c in range(1, PLANTED_AT_2.nodes.L + 1))
     )
-    assert value == original(PLANTED, ClusterOrder(labels=labels)).value
-    assert bound == original(PLANTED, vertical_order(dist)).value + RAISE
+    assert value == mincut(PLANTED_AT_2, ClusterOrder(labels=labels)).value
+    assert bound == mincut(PLANTED_AT_2, _clustered(vertical(dist))).value
     assert value < bound
     # the first minimum of the first failing distribution, byte for byte
-    assert report.counterexample == (
-        "s=(0; 2, 2, 1): order (1, 1, 2, 2, 3) gives 49/6 < 24503/3000"
-    )
+    assert report.counterexample == "s=(0; 2, 2, 1): order (1, 2, 3, 1, 2) gives 7 < 15/2"
 
 
 def test_prop2_flags_planted_violation(monkeypatch):
-    """The horizontal selection's vertical cut raised by 3/2 lies above
-    another all-cluster distribution's; the report names that one."""
+    """A selection that is not horizontal put in place of the horizontal
+    one: the horizontal selection's vertical cut lies below it, and the
+    report names it."""
     config = cfg(7, 4, 3, 2, 1, 4, Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))
-    star = vertical_order(horizontal_selection(config.nodes, 0))
-    original = oracle.mincut
-
-    def raised(c, o):
-        r = original(c, o)
-        value = r.value + (Fraction(3, 2) if o == star else 0)
-        return CutReport(value=value, weights=r.weights, capped=r.capped)
-
-    monkeypatch.setattr(oracle, "mincut", raised)
-    family = VerificationFamily(name="planted", configs=(config,), claims=("prop2-horizontal",))
-    (report,) = verify_claims(family)
+    star = horizontal_selection(config.nodes, 0)
+    wrong = SelectedNodeDistribution(separate=0, clusters=(2, 1, 1))
+    assert (mincut(config, vertical_order(star)).value,
+            mincut(config, vertical_order(wrong)).value) == (Fraction(20, 3), Fraction(47, 6))
+    monkeypatch.setattr(oracle, "horizontal_selection", lambda nodes, s0: wrong)
+    report = _only_report("prop2-horizontal", config)
     assert not report.passed
-    assert report.counterexample == "s=(0; 2, 1, 1) gives 47/6 < 49/6 at s*=(0; 2, 2, 0)"
+    assert report.counterexample == "s=(0; 2, 2, 0) gives 20/3 < 47/6 at s*=(0; 2, 1, 1)"
 
 
 def test_prop2_passes_without_an_all_cluster_selection():
@@ -641,16 +656,22 @@ def test_prop2_passes_without_an_all_cluster_selection():
 
 
 def test_thm2_flags_planted_violation(monkeypatch):
-    """The constructed cut at the last location raised above the one before
-    it: the first increase is reported."""
-    by_location = oracle.mincut_by_location
-    assert [by_location(PLANTED, j) for j in range(1, 6)] == [Fraction(22, 3)] + [7] * 4
+    """A clustered order in place of the constructed one at the last
+    location cuts above the constructed one before it: the first increase
+    is reported."""
+    k = PLANTED_AT_2.nodes.k
+    assert [mincut_by_location(PLANTED_AT_2, j) for j in range(1, k + 1)] == [
+        Fraction(20, 3), Fraction(19, 3), 6, 6, 6
+    ]
+    constructed = oracle.optimal_order_with_separate_at
     monkeypatch.setattr(
-        oracle, "mincut_by_location", lambda c, j: by_location(c, j) + (RAISE if j == 5 else 0)
+        oracle,
+        "optimal_order_with_separate_at",
+        lambda nodes, j: _clustered(constructed(nodes, j)) if j == k else constructed(nodes, j),
     )
-    report = _only_report("thm2-monotone")
+    report = _only_report("thm2-monotone", PLANTED_AT_2)
     assert not report.passed
-    assert report.counterexample == "MC at j=4 is 7 < MC at j=5 = 7001/1000"
+    assert report.counterexample == "MC at j=4 is 6 < MC at j=5 = 19/3"
 
 
 def test_thm3_flags_planted_violation(monkeypatch):
