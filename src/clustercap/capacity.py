@@ -33,10 +33,9 @@ from .model import (
     parse_rational,
 )
 from .sequencing import (
-    SeparatePositions,
-    horizontal_selection,
+    _horizontal_selection,
+    _vertical_order,
     optimal_order_with_separate_at,
-    vertical_order,
 )
 
 
@@ -166,16 +165,16 @@ def system_capacity(cfg: SystemConfig) -> Fraction:
 def capacity_achiever(cfg: SystemConfig):
     """The (distribution, order) pair realizing system_capacity: horizontal
     selection of the cluster nodes, vertical order, separate nodes last."""
-    return _layout_achiever(cfg.nodes)
+    nd = cfg.nodes
+    return _layout_achiever(nd.k, nd.L, nd.R, nd.E)
 
 
-def _layout_achiever(nd: NodeParams):
-    """capacity_achiever of any config with node layout `nd`: the pair
-    does not depend on the repair parameters."""
-    s = min(nd.E, nd.k)
-    dist = horizontal_selection(nd, s)
-    last = SeparatePositions(positions=tuple(range(nd.k - s + 1, nd.k + 1)))
-    return dist, vertical_order(dist, last)
+def _layout_achiever(k: int, L: int, R: int, E: int):
+    """capacity_achiever of any config with the node layout of these
+    fields: the pair does not depend on the repair parameters."""
+    s = min(E, k)
+    dist = _horizontal_selection(k, L, R, E, s)
+    return dist, _vertical_order(s, dist.clusters, tuple(range(k - s + 1, k + 1)))
 
 
 def mincut_by_location(cfg: SystemConfig, j: int) -> Fraction:

@@ -92,6 +92,11 @@ class Record:
     (same type only), hashing and repr follow the field values in slot
     order.  Defining a subclass generates no code, and importing this
     module imports nothing beyond the standard library's start-up set.
+
+    `__hash__` and `__eq__` run in Python, so records are not the keys of
+    the package's caches: each public function cached per record is a
+    thin wrapper over a private cache keyed by the record's fields as
+    plain ints and int tuples, whose hashing and comparison run in C.
     """
 
     __slots__ = ()
@@ -347,14 +352,23 @@ class ClusterOrder(Record):
         return "(" + ", ".join(str(x) for x in self.labels) + ")"
 
 
-@lru_cache(maxsize=128)
 def enumerate_distributions(nodes: NodeParams) -> tuple[SelectedNodeDistribution, ...]:
     """All selected-node distributions, separate count descending, then
     cluster counts in descending lexicographic order.
 
-    Cached per node layout; the tuple is shared by every caller."""
-    if nodes.k > nodes.E + nodes.L * nodes.R:
-        raise Infeasible(f"k={nodes.k} exceeds selectable nodes {nodes.E + nodes.L * nodes.R}")
+    Cached per node layout (`_enumerate_distributions`); the tuple is
+    shared by every caller."""
+    return _enumerate_distributions(nodes.k, nodes.L, nodes.R, nodes.E)
+
+
+@lru_cache(maxsize=128)
+def _enumerate_distributions(
+    k: int, L: int, R: int, E: int
+) -> tuple[SelectedNodeDistribution, ...]:
+    """`enumerate_distributions` of the layout with these fields, keyed by
+    plain ints: a record's `__hash__` runs in Python."""
+    if k > E + L * R:
+        raise Infeasible(f"k={k} exceeds selectable nodes {E + L * R}")
     out: list[SelectedNodeDistribution] = []
 
     def fill(remaining: int, slots: int, bound: int, acc: list[int]) -> None:
@@ -370,9 +384,9 @@ def enumerate_distributions(nodes: NodeParams) -> tuple[SelectedNodeDistribution
                 fill(remaining - value, slots - 1, value, acc)
                 acc.pop()
 
-    for s0 in range(min(nodes.E, nodes.k), -1, -1):
-        if nodes.k - s0 <= nodes.L * nodes.R:
-            fill(nodes.k - s0, nodes.L, nodes.R, [])
+    for s0 in range(min(E, k), -1, -1):
+        if k - s0 <= L * R:
+            fill(k - s0, L, R, [])
     return tuple(out)
 
 
@@ -406,11 +420,16 @@ def order_count(dist: SelectedNodeDistribution) -> int:
     return total
 
 
-@lru_cache(maxsize=128)
 def enumeration_size(nodes: NodeParams) -> int:
     """Total number of repair sequences over all distributions, cached per
-    node layout like `enumerate_distributions`."""
-    return sum(map(order_count, enumerate_distributions(nodes)))
+    node layout like `enumerate_distributions` (`_enumeration_size`)."""
+    return _enumeration_size(nodes.k, nodes.L, nodes.R, nodes.E)
+
+
+@lru_cache(maxsize=128)
+def _enumeration_size(k: int, L: int, R: int, E: int) -> int:
+    """`enumeration_size` of the layout with these fields, keyed by plain ints."""
+    return sum(map(order_count, _enumerate_distributions(k, L, R, E)))
 
 
 def iter_orders(dist: SelectedNodeDistribution) -> Iterator[ClusterOrder]:

@@ -36,6 +36,7 @@ from .model import (
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
+    _enumerate_distributions,
     _fraction,
     _multiset_permutations,
     _scaled_bandwidths,
@@ -382,10 +383,15 @@ def _residual_arcs(
 @lru_cache(maxsize=4096)
 def _ifg_wiring(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
-) -> tuple[tuple[int, ...], ...]:
-    """(starts, to, rev, kinds, where): the residual arcs of the flow graph
-    of a repair sequence (`_residual_arcs`), with the kind of each arc;
-    where[j] is the forward arc of edge j in `build_ifg`'s edge order.
+):
+    """(starts, to, rev, kinds, where, pick, counts, levels): the residual
+    arcs of the flow graph of a repair sequence (`_residual_arcs`), with
+    the kind of each arc; where[j] is the forward arc of edge j in
+    `build_ifg`'s edge order.  pick maps the capacity of each kind,
+    indexed by kind, to the capacity of each arc, in one C-level call;
+    counts holds how many edges are of kind `_ALPHA`, `_BETA_INTRA` and
+    `_BETA_CROSS`.  levels is the first Dinic phase's `_levels` whenever
+    every kind's capacity is positive: they follow the forward arcs.
 
     Vertices: 0 is the source; original slot m has input 1 + 2m and output
     2 + 2m; newcomer step i has input 1 + 2n + 2i and output 2 + 2n + 2i;
@@ -454,19 +460,28 @@ def _ifg_wiring(
     arc_kinds = [_ZERO] * len(to)
     for p, kind in zip(where, kinds):
         arc_kinds[p] = kind
-    return tuple(starts), tuple(to), tuple(rev), tuple(arc_kinds), tuple(where)
+    arc_kinds = tuple(arc_kinds)
+    counts = kinds.count(_ALPHA), kinds.count(_BETA_INTRA), kinds.count(_BETA_CROSS)
+    # the picker holds the kinds tuple itself, not a copy; the graph has at
+    # least two arcs, so it returns a tuple
+    pick = itemgetter(*arc_kinds)
+    # every newcomer has a helper, so the forward arcs join source and collector
+    levels = tuple(_levels(starts, to, rev, pick((1, 1, 1, 1, 0)), 0, 2 * n + 2 * k + 1))
+    return (tuple(starts), tuple(to), tuple(rev), arc_kinds, tuple(where), pick, counts,
+            levels)
 
 
-def _scaled_capacities(kinds: tuple[int, ...], alpha: int, beta_i: int, beta_c: int):
-    """The capacity of each kind (`_ALPHA` ... `_ZERO`) of a graph whose
-    arcs have `kinds`: infinite exceeds the sum of all finite edges."""
-    infinite = (
-        kinds.count(_ALPHA) * alpha
-        + kinds.count(_BETA_INTRA) * beta_i
-        + kinds.count(_BETA_CROSS) * beta_c
-        + 1
-    )
-    return alpha, beta_i, beta_c, infinite, 0
+def _ifg_capacities(cfg: SystemConfig, order: ClusterOrder):
+    """(wiring, scale, capacity): the `_ifg_wiring` of a repair sequence
+    under `cfg`, the scale of its bandwidths and the scaled capacity of
+    each arc kind, `_ALPHA` ... `_ZERO`; infinite exceeds the sum of all
+    finite edges."""
+    nd, rp = cfg.nodes, cfg.repair
+    wiring = _ifg_wiring(order.labels, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross)
+    scale, alpha, beta_i, beta_c = _scaled_bandwidths(cfg)
+    alphas, intra, cross = wiring[6]
+    infinite = alphas * alpha + intra * beta_i + cross * beta_c + 1
+    return wiring, scale, (alpha, beta_i, beta_c, infinite, 0)
 
 
 def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
@@ -479,12 +494,8 @@ def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
     The wiring is cached per layout, helper counts and sequence
     (`_ifg_wiring`); this call fills in the scaled capacities.
     """
-    nd, rp = cfg.nodes, cfg.repair
-    _, to, rev, kinds, where = _ifg_wiring(
-        order.labels, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross
-    )
-    scale, *bandwidths = _scaled_bandwidths(cfg)
-    capacity = _scaled_capacities(kinds, *bandwidths)
+    nd = cfg.nodes
+    (_, to, rev, kinds, where, *_), scale, capacity = _ifg_capacities(cfg, order)
     return FlowGraph(
         vertex_count=2 * nd.n + 2 * nd.k + 2,
         edges=tuple((to[rev[p]], to[p], capacity[kinds[p]]) for p in where),
@@ -495,29 +506,33 @@ def build_ifg(cfg: SystemConfig, order: ClusterOrder) -> FlowGraph:
     )
 
 
-def _dinic(starts, to, rev, cap: list[int], s: int, t: int) -> int:
+def _levels(starts, to, rev, cap, s: int, t: int) -> list[int] | None:
+    """level[v]: the residual distance from v to t over the arcs p with
+    cap[p] > 0, labelled breadth-first backwards from t until s is
+    reached; None when s cannot reach t."""
+    level = [-1] * (len(starts) - 1)
+    level[t] = 0
+    queue = [t]
+    for v in queue:
+        below = level[v] + 1
+        for p in range(starts[v], starts[v + 1]):
+            w = to[p]
+            if level[w] < 0 and cap[rev[p]] > 0:
+                level[w] = below
+                queue.append(w)
+        if level[s] >= 0:
+            return level
+    return None
+
+
+def _dinic(starts, to, rev, cap: list[int], s: int, t: int, level=None) -> int:
     """Exact integral max-flow from s to t over the residual arcs of
     `_residual_arcs`, where cap[p] is the residual capacity of arc p;
-    cap is consumed."""
-    n = len(starts) - 1
+    cap is consumed.  Each phase takes the `_levels` of cap, except that
+    the first takes `level` when it is given, which must equal them."""
     flow = 0
-    while True:
-        # level[v]: residual distance from v to the sink, labelled
-        # breadth-first backwards from the sink until the source is reached
-        level = [-1] * n
-        level[t] = 0
-        queue = [t]
-        for v in queue:
-            below = level[v] + 1
-            for p in range(starts[v], starts[v + 1]):
-                w = to[p]
-                if level[w] < 0 and cap[rev[p]] > 0:
-                    level[w] = below
-                    queue.append(w)
-            if level[s] >= 0:
-                break
-        else:
-            return flow
+    level = level or _levels(starts, to, rev, cap, s, t)
+    while level:
         # blocking flow: a depth-first walk from the source along arcs with
         # residual capacity that step one level down, each vertex resuming
         # at its current arc ptr[u]
@@ -551,6 +566,8 @@ def _dinic(starts, to, rev, cap: list[int], s: int, t: int) -> int:
                 ptr[u] += 1
             else:
                 break
+        level = _levels(starts, to, rev, cap, s, t)
+    return flow
 
 
 def max_flow(graph: FlowGraph) -> int:
@@ -584,14 +601,14 @@ def ifg_mincut(cfg: SystemConfig, order: ClusterOrder) -> Fraction:
 
     It runs the Dinic core of `max_flow` on the residual arcs that
     `_ifg_wiring` caches with the wiring, filling in only their scaled
-    capacities; no `FlowGraph` is built."""
-    nd, rp = cfg.nodes, cfg.repair
-    starts, to, rev, kinds, _ = _ifg_wiring(
-        order.labels, nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross
-    )
-    scale, *bandwidths = _scaled_bandwidths(cfg)
-    cap = list(map(_scaled_capacities(kinds, *bandwidths).__getitem__, kinds))
-    return _fraction(_dinic(starts, to, rev, cap, 0, 2 * nd.n + 2 * nd.k + 1), scale)
+    capacities, with the wiring's picker, and starting from its cached
+    levels when alpha and both bandwidths are positive; no `FlowGraph` is
+    built."""
+    (starts, to, rev, _, _, pick, _, levels), scale, capacity = _ifg_capacities(cfg, order)
+    first = levels if all(capacity[:_INFINITE]) else None
+    # the collector is the last vertex
+    flow = _dinic(starts, to, rev, list(pick(capacity)), 0, len(starts) - 2, first)
+    return _fraction(flow, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +708,12 @@ class _EvaluationContext(_Search):
     distributions (`model`), the selections and orders (`sequencing`), the
     sorted weights (`capacity`), and, in this module, the lattice edges,
     the cut table's coefficient pairs and the verdicts of Lemmas 1-2 and
-    Theorem 4.  The checkers compare scaled integers, read each
+    Theorem 4.  Every one of those caches is keyed by plain ints and int
+    tuples, never by a record, whose `__hash__` runs in Python: the
+    verdicts take the layout's fields and the bandwidths' numerators and
+    denominators, and the record-taking functions of `model` and
+    `sequencing` pass their records' fields on to private caches.  The
+    checkers compare scaled integers, read each
     distribution's least cut by its enumeration position, and turn a cut
     into its Fraction (`fraction`) only to report it.
     """
@@ -715,22 +737,22 @@ class _EvaluationContext(_Search):
 
 
 @lru_cache(maxsize=4096)
-def _lemma1_counterexample(nodes: NodeParams, d_intra: int) -> str | None:
-    """Lemma 1's verdict on the all-cluster distributions of a layout:
-    None, or the first order in scan order of the first failing
-    distribution whose sorted intra coefficients differ from those of its
-    first order.
+def _lemma1_counterexample(k: int, L: int, R: int, E: int, d_intra: int) -> str | None:
+    """Lemma 1's verdict on the all-cluster distributions of the layout
+    with these fields: None, or the first order in scan order of the first
+    failing distribution whose sorted intra coefficients differ from those
+    of its first order.
 
     An order gives each cluster's selected nodes the ranks 1, 2, ... once
     each, so the claim holds when each rank's intra coefficient is the
     same at every position; only otherwise are the orders walked.  An
     intra coefficient depends on neither d_cross nor the bandwidths."""
     if all(
-        len({_coefficient(i, h, False, d_intra, 0)[0] for i in range(h, nodes.k + 1)}) == 1
-        for h in range(1, min(nodes.k, nodes.R) + 1)
+        len({_coefficient(i, h, False, d_intra, 0)[0] for i in range(h, k + 1)}) == 1
+        for h in range(1, min(k, R) + 1)
     ):
         return None
-    for dist in enumerate_distributions(nodes):
+    for dist in _enumerate_distributions(k, L, R, E):
         if dist.separate:
             continue
         bags = (
@@ -748,17 +770,21 @@ def _lemma1_counterexample(nodes: NodeParams, d_intra: int) -> str | None:
 def _check_lemma1(ctx: _EvaluationContext):
     """The multiset of intra coefficients is the same for every repair
     sequence of a fixed all-cluster distribution."""
-    nodes, d_intra = ctx.cfg.nodes, ctx.cfg.repair.d_intra
-    counter = _lemma1_counterexample(nodes, d_intra) if ctx.all_cluster else None
+    nd = ctx.cfg.nodes
+    if not ctx.all_cluster:
+        return True, None
+    counter = _lemma1_counterexample(nd.k, nd.L, nd.R, nd.E, ctx.cfg.repair.d_intra)
     return counter is None, counter
 
 
 @lru_cache(maxsize=4096)
-def _lemma2_counterexample(nodes: NodeParams, d_intra: int, d_cross: int) -> str | None:
-    """Lemma 2's verdict on the constructed optimal sequence of a layout:
-    None, or the first position whose coefficient pair does not sum to
-    d + 1 - i."""
-    _, order = _layout_achiever(nodes)
+def _lemma2_counterexample(
+    k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
+) -> str | None:
+    """Lemma 2's verdict on the constructed optimal sequence of the layout
+    with these fields: None, or the first position whose coefficient pair
+    does not sum to d + 1 - i."""
+    _, order = _layout_achiever(k, L, R, E)
     d = d_intra + d_cross
     coeffs = incoming_coefficients(d_intra, d_cross, order)
     for i, (a, b, _) in enumerate(coeffs, start=1):
@@ -770,8 +796,8 @@ def _lemma2_counterexample(nodes: NodeParams, d_intra: int, d_cross: int) -> str
 def _check_lemma2(ctx: _EvaluationContext):
     """Along the constructed optimal sequence the coefficient pairs sum to
     d + 1 - i at every position."""
-    rp = ctx.cfg.repair
-    counter = _lemma2_counterexample(ctx.cfg.nodes, rp.d_intra, rp.d_cross)
+    nd, rp = ctx.cfg.nodes, ctx.cfg.repair
+    counter = _lemma2_counterexample(nd.k, nd.L, nd.R, nd.E, rp.d_intra, rp.d_cross)
     return counter is None, counter
 
 
@@ -852,27 +878,30 @@ def _check_thm3(ctx: _EvaluationContext):
 
 @lru_cache(maxsize=4096)
 def _thm4_counterexample(
-    nodes: NodeParams, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
+    k: int, L: int, R: int, d_cross: int, bi_num: int, bi_den: int, bc_num: int, bc_den: int
 ) -> str | None:
-    """Theorem 4's verdict on a layout without separate nodes: None, or
-    how adding one separate node at uncapped alpha departs from the
-    dichotomy.  Uncapped alpha, one more than the saturated capacity,
-    depends on the bandwidths alone, and d_intra is R - 1 in every
-    config."""
-    values = cluster_weight_values(nodes.k, nodes.R, d_cross, beta_intra, beta_cross)
+    """Theorem 4's verdict on the layout of k, L and R without separate
+    nodes at beta_intra = bi_num / bi_den and beta_cross = bc_num / bc_den,
+    each in lowest terms: None, or how adding one separate node at
+    uncapped alpha departs from the dichotomy.  Uncapped alpha, one more
+    than the saturated capacity, depends on the bandwidths alone, and
+    d_intra is R - 1 in every config."""
+    nodes = NodeParams(n=L * R, k=k, L=L, R=R, E=0)
+    beta_intra, beta_cross = Fraction(bi_num, bi_den), Fraction(bc_num, bc_den)
+    values = cluster_weight_values(k, R, d_cross, beta_intra, beta_cross)
     uncapped = RepairParams(
         alpha=sum(values, start=Fraction(0)) + 1,
-        d_intra=nodes.R - 1,
+        d_intra=R - 1,
         beta_intra=beta_intra,
         d_cross=d_cross,
         beta_cross=beta_cross,
     )
     verdict = compare_separate(nodes, uncapped)
-    keep = nodes.k % nodes.R == 0 or beta_intra == beta_cross
+    keep = k % R == 0 or beta_intra == beta_cross
     expected = Outcome.EQUAL if keep else Outcome.REDUCED
     if verdict.outcome is not expected:
         return (
-            f"expected {expected.value} (k={nodes.k}, R={nodes.R}), got "
+            f"expected {expected.value} (k={k}, R={R}), got "
             f"{verdict.outcome.value}: without={verdict.capacity_without} "
             f"with={verdict.capacity_with}"
         )
@@ -885,7 +914,10 @@ def _check_thm4(ctx: _EvaluationContext):
     nd, rp = ctx.cfg.nodes, ctx.cfg.repair
     if nd.E != 0:
         return True, None
-    counter = _thm4_counterexample(nd, rp.d_cross, rp.beta_intra, rp.beta_cross)
+    counter = _thm4_counterexample(
+        nd.k, nd.L, nd.R, rp.d_cross,
+        *rp.beta_intra.as_integer_ratio(), *rp.beta_cross.as_integer_ratio(),
+    )
     return counter is None, counter
 
 

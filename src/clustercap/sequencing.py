@@ -13,7 +13,9 @@ the cluster labels cycle around them.
 
 The selection and the orders depend only on their arguments (node
 layout, distribution, separate positions), never on alpha or the
-bandwidths, so each function caches its immutable result under them.
+bandwidths, so each function caches its immutable result under them:
+the public function passes the fields of its records, as plain ints and
+int tuples, to a private cached one.
 """
 
 from __future__ import annotations
@@ -38,42 +40,55 @@ class SeparatePositions(Record):
         return cls(positions=())
 
 
-@lru_cache(maxsize=256)
 def horizontal_selection(nodes: NodeParams, s0: int) -> SelectedNodeDistribution:
     """Select s0 separate nodes and fill clusters with R selected nodes
     each until k - s0 are placed; the next cluster takes the remainder, the
     rest stay empty."""
-    if not 0 <= s0 <= min(nodes.E, nodes.k):
-        raise ConfigError(f"s0={s0} outside 0..min(E, k)={min(nodes.E, nodes.k)}")
-    remaining = nodes.k - s0
-    if remaining > nodes.L * nodes.R:
-        raise ConfigError(f"cannot place {remaining} selected nodes in {nodes.L}x{nodes.R}")
-    full = remaining // nodes.R
-    counts = [0] * nodes.L
+    return _horizontal_selection(nodes.k, nodes.L, nodes.R, nodes.E, s0)
+
+
+@lru_cache(maxsize=256)
+def _horizontal_selection(k: int, L: int, R: int, E: int, s0: int) -> SelectedNodeDistribution:
+    """`horizontal_selection` in the layout with these fields."""
+    if not 0 <= s0 <= min(E, k):
+        raise ConfigError(f"s0={s0} outside 0..min(E, k)={min(E, k)}")
+    remaining = k - s0
+    if remaining > L * R:
+        raise ConfigError(f"cannot place {remaining} selected nodes in {L}x{R}")
+    full = remaining // R
+    counts = [0] * L
     for i in range(full):
-        counts[i] = nodes.R
-    if full < nodes.L:
-        counts[full] = remaining - full * nodes.R
+        counts[i] = R
+    if full < L:
+        counts[full] = remaining - full * R
     return SelectedNodeDistribution(separate=s0, clusters=tuple(counts))
 
 
-@lru_cache(maxsize=1024)
 def vertical_order(
     dist: SelectedNodeDistribution, sep: SeparatePositions | None = None
 ) -> ClusterOrder:
     """Assign cluster labels by cycling 1..L, skipping exhausted clusters;
-    positions listed in `sep` receive the separate label 0."""
-    sep = sep or SeparatePositions.none()
-    if len(sep.positions) != dist.separate:
+    positions listed in `sep` receive the separate label 0.  No `sep` and
+    `SeparatePositions.none()` share one cache entry."""
+    return _vertical_order(dist.separate, dist.clusters, () if sep is None else sep.positions)
+
+
+@lru_cache(maxsize=1024)
+def _vertical_order(
+    separate: int, clusters: tuple[int, ...], positions: tuple[int, ...]
+) -> ClusterOrder:
+    """`vertical_order` of the distribution with these fields, the
+    separate nodes at `positions` (sorted, distinct)."""
+    if len(positions) != separate:
         raise ConfigError(
-            f"{len(sep.positions)} separate positions but distribution has {dist.separate}"
+            f"{len(positions)} separate positions but distribution has {separate}"
         )
-    k = dist.k
-    if any(not 1 <= p <= k for p in sep.positions):
-        raise ConfigError(f"separate positions {sep.positions} outside 1..{k}")
-    remaining = list(dist.clusters)
+    k = separate + sum(clusters)
+    if any(not 1 <= p <= k for p in positions):
+        raise ConfigError(f"separate positions {positions} outside 1..{k}")
+    remaining = list(clusters)
     L = len(remaining)
-    sep_set = set(sep.positions)
+    sep_set = set(positions)
     labels = []
     j = 0  # 0-based cluster cursor
     for i in range(1, k + 1):
@@ -90,14 +105,19 @@ def vertical_order(
     return ClusterOrder(labels=tuple(labels))
 
 
-@lru_cache(maxsize=512)
 def optimal_order_with_separate_at(nodes: NodeParams, j: int) -> ClusterOrder:
     """The capacity-candidate sequence with one separate selected node
     pinned at position j; its min-cut is non-increasing in j, so j = k
     achieves the system capacity."""
-    if nodes.E < 1:
+    return _optimal_order_with_separate_at(nodes.k, nodes.L, nodes.R, nodes.E, j)
+
+
+@lru_cache(maxsize=512)
+def _optimal_order_with_separate_at(k: int, L: int, R: int, E: int, j: int) -> ClusterOrder:
+    """`optimal_order_with_separate_at` in the layout with these fields."""
+    if E < 1:
         raise ConfigError("needs at least one separate node (E >= 1)")
-    if not 1 <= j <= nodes.k:
-        raise ConfigError(f"position j={j} outside 1..{nodes.k}")
-    dist = horizontal_selection(nodes, 1)
-    return vertical_order(dist, SeparatePositions(positions=(j,)))
+    if not 1 <= j <= k:
+        raise ConfigError(f"position j={j} outside 1..{k}")
+    dist = _horizontal_selection(k, L, R, E, 1)
+    return _vertical_order(1, dist.clusters, (j,))

@@ -277,11 +277,11 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
     in `cache_info` what the nine claims and the max-flow check of two
     configs, one with a separate node and one without, put in it."""
     assert set(structural_caches) == {
-        "model.enumerate_distributions",
-        "model.enumeration_size",
-        "sequencing.horizontal_selection",
-        "sequencing.vertical_order",
-        "sequencing.optimal_order_with_separate_at",
+        "model._enumerate_distributions",
+        "model._enumeration_size",
+        "sequencing._horizontal_selection",
+        "sequencing._vertical_order",
+        "sequencing._optimal_order_with_separate_at",
         "capacity.weight_values",
         "oracle._cut_coefficients",
         "oracle._ifg_wiring",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercap import model
 from clustercap.model import (
     BandwidthOrder,
     ClusterOrder,
@@ -20,6 +21,7 @@ from clustercap.model import (
     SelectedNodeDistribution,
     enumerate_distributions,
     enumerate_orders,
+    enumeration_size,
     format_rational,
     order_count,
     parse_rational,
@@ -188,3 +190,17 @@ def test_distributions_match_brute_force_filter(L, R, E, k):
             ):
                 expected.add((s0, clusters))
     assert got == expected
+
+
+def test_equal_layouts_share_one_cache_entry():
+    """The distributions and the order total are cached by the layout's
+    fields: an equal but distinct NodeParams finds the first one's entry."""
+    first, second = (NodeParams(n=13, k=9, L=3, R=4, E=1) for _ in range(2))
+    assert first == second and first is not second
+    for public, cached in (
+        (enumerate_distributions, model._enumerate_distributions),
+        (enumeration_size, model._enumeration_size),
+    ):
+        cached.cache_clear()
+        assert public(second) is public(first)
+        assert cached.cache_info()[:2] == (1, 1)  # (hits, misses)

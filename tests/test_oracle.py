@@ -285,10 +285,14 @@ def _reference_build_ifg(cfg, order):
     )
 
 
-def test_cached_wiring_matches_reference_graph():
-    """Every order of every tiny-family config and its E=2 analogue, the
-    criterion-2 triples and two wide layouts: the graph from the cached
-    wiring equals the reference graph edge for edge, on warm caches too."""
+# 278 vertices, and coefficients up to 301
+WIDE_LAYOUTS = (cfg(128, 10, 12, 10, 8, 4, 2, 1, 10), cfg(304, 3, 2, 2, 300, 300, 2, 1, 10))
+
+
+def _reference_pairs():
+    """(config, order): every order of every tiny-family config and its
+    E=2 analogue, the criterion-2 triples, and the capacity-achieving
+    orders of the two wide layouts."""
     tiny = oracle.FAMILIES["tiny"]().configs
     configs = dict.fromkeys(tiny + tuple(_with_separate(c, 2) for c in tiny))
     assert {c.nodes.E for c in configs} == {0, 1, 2}
@@ -299,18 +303,46 @@ def test_cached_wiring_matches_reference_graph():
         for order in enumerate_orders(dist)
     ]
     pairs += [(config, order) for config, _, order in sample_sweep_triples(1000, seed=0)]
-    # 278 vertices, and coefficients up to 301
-    for wide in (cfg(128, 10, 12, 10, 8, 4, 2, 1, 10), cfg(304, 3, 2, 2, 300, 300, 2, 1, 10)):
+    pairs += [(wide, capacity_achiever(wide)[1]) for wide in WIDE_LAYOUTS]
+    return pairs
+
+
+def test_cached_wiring_matches_reference_graph():
+    """On every pair of `_reference_pairs` the graph from the cached
+    wiring equals the reference graph edge for edge, on warm caches too."""
+    for wide in WIDE_LAYOUTS:
         _, order = capacity_achiever(wide)
-        pairs.append((wide, order))
         rp = wide.repair
         assert part_incoming_weights(wide, order) == tuple(
             a * rp.beta_intra + b * rp.beta_cross
             for a, b, _ in incoming_coefficients(rp.d_intra, rp.d_cross, order)
         )
-    for config, order in pairs:
+    for config, order in _reference_pairs():
         assert build_ifg(config, order) == _reference_build_ifg(config, order)
     assert oracle._ifg_wiring.cache_info().hits
+
+
+def test_capacity_fill_gives_the_max_flow_of_the_reference_graph():
+    """`ifg_mincut` fills the arc capacities with the picker and the edge
+    counts cached with the wiring; on every pair of `_reference_pairs` it
+    gives the max-flow of the reference graph, built without the cached
+    wiring.  Where alpha and both bandwidths are positive, the levels
+    cached with the wiring are those that the first Dinic phase labels on
+    the filled capacities; elsewhere (alpha = 0) `ifg_mincut` labels
+    them itself."""
+    cached = labelled = 0
+    for config, order in _reference_pairs():
+        reference = _reference_build_ifg(config, order)
+        assert ifg_mincut(config, order) == Fraction(max_flow(reference), reference.scale)
+        wiring, _, capacity = oracle._ifg_capacities(config, order)
+        starts, to, rev, _, _, pick, _, levels = wiring
+        if all(capacity[:3]):
+            cap = list(pick(capacity))
+            assert list(levels) == oracle._levels(starts, to, rev, cap, 0, len(starts) - 2)
+            cached += 1
+        else:
+            labelled += 1
+    assert cached and labelled
 
 
 def test_cached_arcs_give_the_max_flow_of_the_built_graph():
@@ -911,6 +943,45 @@ def test_claims_of_a_config_share_one_search(monkeypatch):
         assert counts == {"enumerate": 1, "pass": 1}
 
 
+def _sweep_op(config):
+    """One oracle-sweep op: the nine claims of a config, its
+    capacity-achieving order and the max-flow of that order's graph."""
+    family = VerificationFamily(name="op", configs=(config,), claims=oracle.ALL_CLAIMS)
+    reports = verify_claims(family)
+    _, order = capacity_achiever(config)
+    return reports, ifg_mincut(config, order)
+
+
+def test_warm_sweep_op_hashes_no_record(monkeypatch):
+    """On warm caches an oracle-sweep op hashes no record at E = 0, 1 and
+    2, also on a config equal to the one that warmed them but not the
+    same object: every cache it reads is keyed by plain ints.  The one
+    record comparison left is prop2's lookup of the horizontal selection
+    among the all-cluster distributions."""
+    for E in (0, 1, 2):
+        _sweep_op(_with_separate(PLANTED, E))
+    counts = {"hash": 0, "eq": 0}
+    real_hash, real_eq = model.Record.__hash__, model.Record.__eq__
+
+    def counted_hash(record):
+        counts["hash"] += 1
+        return real_hash(record)
+
+    def counted_eq(record, other):
+        counts["eq"] += 1
+        return real_eq(record, other)
+
+    monkeypatch.setattr(model.Record, "__hash__", counted_hash)
+    monkeypatch.setattr(model.Record, "__eq__", counted_eq)
+    for E in (0, 1, 2):
+        config = _with_separate(PLANTED, E)
+        counts["eq"] = 0
+        reports, flow = _sweep_op(config)
+        assert all(r.passed for r in reports)
+        assert flow == system_capacity(config)
+        assert counts == {"hash": 0, "eq": 1}, E
+
+
 def test_budget_is_checked_before_any_scan(monkeypatch):
     counts = _count_passes(monkeypatch)
     size = enumeration_size(PLANTED.nodes)
@@ -951,7 +1022,7 @@ def test_repeated_refusal_reads_the_cached_order_total(monkeypatch):
 
     for module in (model, oracle):
         monkeypatch.setattr(module, "order_count", counted_order_count, raising=False)
-    model.enumeration_size.cache_clear()
+    model._enumeration_size.cache_clear()
     refusals = []
     for _ in range(2):
         with pytest.raises(BudgetExceeded):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clustercap import sequencing
 from clustercap.model import ConfigError, NodeParams, SelectedNodeDistribution
 from clustercap.sequencing import (
     SeparatePositions,
@@ -111,3 +112,35 @@ def test_constructions_produce_members(L, R, E, k, s0, data):
     order = vertical_order(dist, SeparatePositions(positions))
     assert order.matches(dist)
     assert all(order.labels[p - 1] == 0 for p in positions)
+
+
+def test_equal_records_share_one_cache_entry():
+    """The caches are keyed by the records' fields: an equal but distinct
+    NodeParams or distribution finds the entry that the first one made."""
+    first, second = (NodeParams(n=13, k=9, L=3, R=4, E=1) for _ in range(2))
+    assert first == second and first is not second
+    for public, cached, arg in (
+        (horizontal_selection, sequencing._horizontal_selection, 1),
+        (optimal_order_with_separate_at, sequencing._optimal_order_with_separate_at, 9),
+    ):
+        cached.cache_clear()
+        assert public(second, arg) is public(first, arg)
+        assert cached.cache_info()[:2] == (1, 1)  # (hits, misses)
+    dist = horizontal_selection(first, 1)
+    twin = SelectedNodeDistribution(separate=1, clusters=dist.clusters)
+    sep = SeparatePositions(positions=(9,))
+    sequencing._vertical_order.cache_clear()
+    assert vertical_order(twin, SeparatePositions(positions=(9,))) is vertical_order(dist, sep)
+    assert sequencing._vertical_order.cache_info()[:2] == (1, 1)
+
+
+def test_vertical_order_without_positions_shares_the_empty_entry():
+    """vertical_order(dist) and vertical_order(dist, SeparatePositions.none())
+    are one cache entry."""
+    dist = SelectedNodeDistribution(separate=0, clusters=(3, 2, 2))
+    sequencing._vertical_order.cache_clear()
+    order = vertical_order(dist)
+    assert vertical_order(dist, SeparatePositions.none()) is order
+    assert order.labels == (1, 2, 3, 1, 2, 3, 1)
+    info = sequencing._vertical_order.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
