@@ -240,6 +240,17 @@ def _scan_orders(dist: SelectedNodeDistribution):
         yield labels, [h if x else 0 for x, h in zip(labels, _locations(labels))]
 
 
+@lru_cache(maxsize=4096)
+def _order_ranks(labels: tuple[int, ...], k: int, L: int, R: int, E: int) -> tuple[int, ...]:
+    """The `_cut_table` index of each position of a repair order, its
+    within-cluster rank h or 0 for a separate node, once its labels are
+    checked against the layout (`_check_labels`).  Keyed by the labels,
+    so every order the checkers build gets its own entry; a rejected
+    order caches nothing, so it is rejected on every call."""
+    locations = _check_labels(labels, k, L, R, E)
+    return tuple([h if label else 0 for label, h in zip(labels, locations)])
+
+
 class _Search:
     """The exhaustive search of one config, under `budget` repair orders
     (DEFAULT_BUDGET when None), computed in one pass: the budget on the
@@ -299,13 +310,12 @@ class _Search:
         return tuple(order)
 
     def order_cut(self, order: ClusterOrder) -> int:
-        """The scaled cut of a repair order, a sum of its `cut_table`
-        entries, once its labels are checked against the layout
-        (`_check_labels`, which raises ValueError on a bad order)."""
-        nd, labels = self.cfg.nodes, order.labels
-        locations = _check_labels(labels, nd.k, nd.L, nd.R, nd.E)
-        return sum([row[h if label else 0]
-                    for row, label, h in zip(self.cut_table[1:], labels, locations)])
+        """The scaled cut of a repair order: the sum of the `cut_table`
+        entries at its checked ranks (`_order_ranks`, which raises
+        ValueError on a bad order, on every call)."""
+        nd = self.cfg.nodes
+        ranks = _order_ranks(order.labels, nd.k, nd.L, nd.R, nd.E)
+        return sum(map(list.__getitem__, self.cut_table[1:], ranks))
 
     def fraction(self, value: int) -> Fraction:
         """A scaled cut as the Fraction it stands for."""
@@ -384,14 +394,17 @@ def _residual_arcs(
 def _ifg_wiring(
     labels: tuple[int, ...], k: int, L: int, R: int, E: int, d_intra: int, d_cross: int
 ):
-    """(starts, to, rev, kinds, where, pick, counts, levels): the residual
-    arcs of the flow graph of a repair sequence (`_residual_arcs`), with
-    the kind of each arc; where[j] is the forward arc of edge j in
-    `build_ifg`'s edge order.  pick maps the capacity of each kind,
-    indexed by kind, to the capacity of each arc, in one C-level call;
-    counts holds how many edges are of kind `_ALPHA`, `_BETA_INTRA` and
-    `_BETA_CROSS`.  levels is the first Dinic phase's `_levels` whenever
-    every kind's capacity is positive: they follow the forward arcs.
+    """(starts, to, rev, kinds, where, pick, counts, levels, helped): the
+    residual arcs of the flow graph of a repair sequence
+    (`_residual_arcs`), with the kind of each arc; where[j] is the
+    forward arc of edge j in `build_ifg`'s edge order.  pick maps the
+    capacity of each kind, indexed by kind, to the capacity of each arc,
+    in one C-level call; counts holds how many edges are of kind
+    `_ALPHA`, `_BETA_INTRA` and `_BETA_CROSS`.  levels is the first Dinic
+    phase's `_levels` whenever every kind's capacity is positive: they
+    follow the forward arcs.  helped holds, newcomer by newcomer, how
+    many of its intra and of its cross edges come from an original's
+    output (`ifg_mincut`'s bound).
 
     Vertices: 0 is the source; original slot m has input 1 + 2m and output
     2 + 2m; newcomer step i has input 1 + 2n + 2i and output 2 + 2n + 2i;
@@ -415,10 +428,12 @@ def _ifg_wiring(
         edge(1 + 2 * slot, 2 + 2 * slot, _ALPHA)
     occupant: dict[int, int] = {}  # replaced slot -> newcomer step index
     step_cluster: list[int] = []  # cluster label per newcomer step
+    helped: list[int] = []  # per newcomer: intra, then cross edges from originals
     for i, (label, h) in enumerate(zip(labels, locations)):
         if label == 0:
             slot = L * R + (h - 1)
             want = d_intra + d_cross
+            helped.append(0)
         else:
             slot = (label - 1) * R + (h - 1)
             # intra edges: every other current member of the cluster
@@ -427,6 +442,7 @@ def _ifg_wiring(
                     step = occupant.get(other)
                     edge(2 + 2 * other if step is None else new + 1 + 2 * step, new + 2 * i,
                          _BETA_INTRA)
+            helped.append(R - h)  # the h - 1 replaced members feed from newcomers
             want = d_cross
         # cross (or, for a separate node, all) helpers: previous newcomers
         # outside the own cluster first, most recent first, then
@@ -447,6 +463,7 @@ def _ifg_wiring(
             helpers.append(2 + 2 * other)
         if len(helpers) != want:
             raise ValueError(f"cannot find {want} helpers at repair step {i + 1}")
+        helped.append(sum(src <= 2 * n for src in helpers))  # originals' outputs: 2..2n
         for src in helpers:
             edge(src, new + 2 * i, _BETA_CROSS)
         edge(new + 2 * i, new + 1 + 2 * i, _ALPHA)
@@ -468,7 +485,7 @@ def _ifg_wiring(
     # every newcomer has a helper, so the forward arcs join source and collector
     levels = tuple(_levels(starts, to, rev, pick((1, 1, 1, 1, 0)), 0, 2 * n + 2 * k + 1))
     return (tuple(starts), tuple(to), tuple(rev), arc_kinds, tuple(where), pick, counts,
-            levels)
+            levels, tuple(helped))
 
 
 def _ifg_capacities(cfg: SystemConfig, order: ClusterOrder):
@@ -525,53 +542,72 @@ def _levels(starts, to, rev, cap, s: int, t: int) -> list[int] | None:
     return None
 
 
-def _dinic(starts, to, rev, cap: list[int], s: int, t: int, level=None) -> int:
+def _dinic(starts, to, rev, cap: list[int], s: int, t: int, level=None, bound=None) -> int:
     """Exact integral max-flow from s to t over the residual arcs of
     `_residual_arcs`, where cap[p] is the residual capacity of arc p;
-    cap is consumed.  Each phase takes the `_levels` of cap, except that
-    the first takes `level` when it is given, which must equal them."""
+    cap is consumed.  Each phase takes the `_levels` of cap (the first
+    takes `level` when it is given, which must equal them) and pushes a
+    blocking flow by multi-push, without recursion: each vertex keeps
+    pushing what it still holds along its admissible arcs, resuming at
+    its current arc ptr[u], and what an arc carries is settled once, when
+    the walk comes back over it.  `bound` must be a cut value of this
+    graph, or above one (by default the capacity out of s): a flow that
+    reaches it is maximum by weak duality, so Dinic returns there,
+    without the level pass that would find no path."""
+    if bound is None:
+        bound = sum(cap[starts[s] : starts[s + 1]])
     flow = 0
-    level = level or _levels(starts, to, rev, cap, s, t)
-    while level:
-        # blocking flow: a depth-first walk from the source along arcs with
-        # residual capacity that step one level down, each vertex resuming
-        # at its current arc ptr[u]
+    while flow < bound and (level := level or _levels(starts, to, rev, cap, s, t)):
         ptr = list(starts)
-        path: list[int] = []  # the arcs from s to u
-        u = s
+        # per depth d of the walk: the arc into its vertex, what that arc
+        # offered it and what it has still to push
+        via, offer, room = [0] * level[s], [0] * level[s], [0] * level[s]
+        room[0] = bound - flow
+        d, u = 0, s
         while True:
-            p, end, down = ptr[u], starts[u + 1], level[u] - 1
-            while p < end:
-                if cap[p] > 0 and level[to[p]] == down:
-                    break
-                p += 1
-            ptr[u] = p
-            if p < end:
-                path.append(p)
-                u = to[p]
-                if u == t:
-                    got = min(map(cap.__getitem__, path))
-                    for p in path:
-                        cap[p] -= got
-                        cap[rev[p]] += got
-                    flow += got
-                    # resume at the tail of the first saturated arc
-                    for i, p in enumerate(path):
-                        if not cap[p]:
-                            del path[i:]
-                            break
-                    u = to[path[-1]] if path else s
-            elif path:  # dead end: retreat and skip the arc that led here
-                u = to[rev[path.pop()]]
-                ptr[u] += 1
-            else:
+            if r := room[d]:
+                p, end, down = ptr[u], starts[u + 1], level[u] - 1
+                while p < end and not (cap[p] and level[to[p]] == down):
+                    p += 1
+                ptr[u] = p
+                if p < end:
+                    v, c = to[p], cap[p]
+                    x = c if c < r else r
+                    if v == t:  # the sink takes all it is offered
+                        cap[p] = c - x
+                        cap[rev[p]] += x
+                        room[d] = r - x
+                        if x == c:
+                            ptr[u] = p + 1
+                    else:
+                        d += 1
+                        via[d] = p
+                        offer[d] = room[d] = x
+                        u = v
+                    continue
+            if not d:
                 break
-        level = _levels(starts, to, rev, cap, s, t)
+            # u is done: settle what it pushed on the arc into it, and
+            # leave that arc once it is full or u is blocked
+            p, left = via[d], room[d]
+            x = offer[d] - left
+            d -= 1
+            if x:
+                cap[p] -= x
+                cap[rev[p]] += x
+                room[d] -= x
+            u = to[rev[p]]
+            if left or not cap[p]:
+                ptr[u] += 1
+        flow = bound - room[0]
+        level = None
     return flow
 
 
 def max_flow(graph: FlowGraph) -> int:
-    """Exact integral max-flow (Dinic) on the scaled graph.
+    """Exact integral max-flow on the scaled graph, by the multi-push
+    Dinic core `_dinic`, which needs no recursion: a graph of any depth
+    is solved.
 
     Raises ValueError when the source equals the sink, or an edge has a
     negative capacity or an endpoint outside 0..vertex_count-1.
@@ -599,15 +635,24 @@ def ifg_mincut(cfg: SystemConfig, order: ClusterOrder) -> Fraction:
     and the two are equal at the capacity-achieving order; on other
     orders it can be smaller.
 
-    It runs the Dinic core of `max_flow` on the residual arcs that
-    `_ifg_wiring` caches with the wiring, filling in only their scaled
-    capacities, with the wiring's picker, and starting from its cached
-    levels when alpha and both bandwidths are positive; no `FlowGraph` is
-    built."""
-    (starts, to, rev, _, _, pick, _, levels), scale, capacity = _ifg_capacities(cfg, order)
-    first = levels if all(capacity[:_INFINITE]) else None
+    It runs `_dinic`, the multi-push core of `max_flow`, on the residual
+    arcs cached with the wiring (`_ifg_wiring`), filling in only their
+    scaled capacities with the wiring's picker, from its cached levels
+    when alpha and both bandwidths are positive.  Its `bound` is the
+    graph's own part-cut, from the wiring's helper counts alone:
+    sum(min(alpha, a_i * beta_I + b_i * beta_C)), the cut whose source
+    side holds the source, every original and the input of each newcomer
+    whose in-weight exceeds alpha.  Where the flow reaches it, as at
+    every capacity-achieving order, Dinic skips the level pass that
+    would find no path."""
+    wiring, scale, capacity = _ifg_capacities(cfg, order)
+    starts, to, rev, _, _, pick, _, levels, helped = wiring
+    alpha, beta_i, beta_c, _, _ = capacity
+    it = iter(helped)
+    bound = sum([alpha if alpha < (w := a * beta_i + b * beta_c) else w for a, b in zip(it, it)])
+    first = levels if alpha and beta_i and beta_c else None
     # the collector is the last vertex
-    flow = _dinic(starts, to, rev, list(pick(capacity)), 0, len(starts) - 2, first)
+    flow = _dinic(starts, to, rev, list(pick(capacity)), 0, len(starts) - 2, first, bound)
     return _fraction(flow, scale)
 
 

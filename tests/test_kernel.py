@@ -288,6 +288,7 @@ def test_every_cache_is_bounded_with_lru_controls(structural_caches):
         "oracle._lattice_edges",
         "oracle._lemma1_counterexample",
         "oracle._lemma2_counterexample",
+        "oracle._order_ranks",
         "oracle._thm4_counterexample",
     }
     for name, cached in structural_caches.items():

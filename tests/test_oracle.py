@@ -1,6 +1,7 @@
 """Exhaustive-search and flow-graph oracle tests."""
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -183,6 +184,95 @@ def test_max_flow_equals_brute_force_min_cut(graph):
     assert max_flow(graph) == _brute_force_min_cut(graph)
 
 
+def _residual(graph):
+    """(starts, to, rev, cap): the residual arcs of a graph's edges
+    (`_residual_arcs`), each forward arc at its edge's capacity."""
+    starts, to, rev, where = oracle._residual_arcs(
+        graph.vertex_count, [u for u, _, _ in graph.edges], [v for _, v, _ in graph.edges]
+    )
+    cap = [0] * len(to)
+    for p, (_, _, c) in zip(where, graph.edges):
+        cap[p] = c
+    return starts, to, rev, cap
+
+
+@given(small_graphs())
+@settings(max_examples=300, deadline=None)
+def test_dinic_returns_the_max_flow_under_any_cut_bound(graph):
+    """`_dinic` stops once the flow reaches `bound`, a cut value of the
+    graph: given the least cut, a cut that need not be least (every edge
+    out of the source), or none, it returns the brute-force min-cut."""
+    least = _brute_force_min_cut(graph)
+    s, t = graph.source, graph.sink
+    out_of_source = sum(c for u, v, c in graph.edges if u == s != v)
+    for bound in (least, out_of_source, None):
+        assert oracle._dinic(*_residual(graph), s, t, bound=bound) == least
+
+
+def _path(m, rng):
+    """A path of m vertices, 0 -> 1 -> ... -> m - 1, capacities 1..9."""
+    edges = tuple((v, v + 1, rng.randint(1, 9)) for v in range(m - 1))
+    graph = oracle.FlowGraph(
+        vertex_count=m, edges=edges, source=0, sink=m - 1, scale=1, infinite=10**6,
+    )
+    return graph, min(c for _, _, c in edges)
+
+
+def _ladder(m, rng):
+    """A two-lane ladder of 2m + 2 vertices, capacities 1..9: the source
+    0 feeds lanes 1..m and m + 1..2m at their first rungs, each lane runs
+    forward, a rung joins the lanes both ways at every position, and both
+    lanes' last vertices feed the sink 2m + 1.  Its min-cut is a shortest
+    path over the positions: which of the two vertices there lie on the
+    source side, and the edges that this cuts."""
+    def c():
+        return rng.randint(1, 9)
+
+    sink = 2 * m + 1
+    into, along, rungs, out = (c(), c()), [], [], (c(), c())
+    edges = [(0, 1, into[0]), (0, m + 1, into[1])]
+    for i in range(1, m + 1):
+        rungs.append((c(), c()))
+        edges += [(i, m + i, rungs[-1][0]), (m + i, i, rungs[-1][1])]
+        if i < m:
+            along.append((c(), c()))
+            edges += [(i, i + 1, along[-1][0]), (m + i, m + i + 1, along[-1][1])]
+    edges += [(m, sink, out[0]), (2 * m, sink, out[1])]
+    sides = [(a, b) for a in (0, 1) for b in (0, 1)]  # 1: on the source side
+
+    def inside(side, rung):
+        a, b = side
+        return (a and not b) * rung[0] + (b and not a) * rung[1]
+
+    least = {side: (1 - side[0]) * into[0] + (1 - side[1]) * into[1] + inside(side, rungs[0])
+             for side in sides}
+    for lanes, rung in zip(along, rungs[1:]):
+        least = {
+            side: inside(side, rung) + min(
+                value + (prev[0] and not side[0]) * lanes[0]
+                + (prev[1] and not side[1]) * lanes[1]
+                for prev, value in least.items()
+            )
+            for side in sides
+        }
+    cut = min(value + side[0] * out[0] + side[1] * out[1] for side, value in least.items())
+    graph = oracle.FlowGraph(
+        vertex_count=2 * m + 2, edges=tuple(edges), source=0, sink=sink, scale=1,
+        infinite=10**6,
+    )
+    return graph, cut
+
+
+@pytest.mark.parametrize("build, size", [(_path, 3000), (_ladder, 1499)], ids=["path", "ladder"])
+def test_max_flow_has_no_depth_limit(build, size):
+    """A blocking flow walks a path as long as the graph's levels without
+    recursion: 3,000-vertex graphs, whose shortest paths run far past
+    Python's recursion limit, give their min-cut."""
+    graph, cut = build(size, random.Random(3))
+    assert graph.vertex_count == 3000
+    assert max_flow(graph) == cut
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -335,7 +425,7 @@ def test_capacity_fill_gives_the_max_flow_of_the_reference_graph():
         reference = _reference_build_ifg(config, order)
         assert ifg_mincut(config, order) == Fraction(max_flow(reference), reference.scale)
         wiring, _, capacity = oracle._ifg_capacities(config, order)
-        starts, to, rev, _, _, pick, _, levels = wiring
+        starts, to, rev, _, _, pick, _, levels, _ = wiring
         if all(capacity[:3]):
             cap = list(pick(capacity))
             assert list(levels) == oracle._levels(starts, to, rev, cap, 0, len(starts) - 2)
@@ -345,41 +435,93 @@ def test_capacity_fill_gives_the_max_flow_of_the_reference_graph():
     assert cached and labelled
 
 
-def test_cached_arcs_give_the_max_flow_of_the_built_graph():
-    """`ifg_mincut` runs Dinic on the residual arcs cached with the wiring,
-    and `max_flow` builds them from the `FlowGraph`: both give the same
-    value on every order of every tiny-family config and its E=2 and E=3
-    analogues, and on the 1000 criterion-2 triples, among them the 10
-    whose max-flow falls below the part-cut.  On each of them the sum of
-    cut-table entries (`_Search.order_cut`) is the part-cut, scaled."""
+def _every_order_pairs():
+    """(orders, triples), each a list of (config, order): every order of
+    every tiny-family config and its E=2 and E=3 analogues, and the 1000
+    criterion-2 triples."""
     tiny = oracle.FAMILIES["tiny"]().configs
     configs = dict.fromkeys(tiny + tuple(_with_separate(c, E) for E in (2, 3) for c in tiny))
     assert {c.nodes.E for c in configs} == {0, 1, 2, 3}
-    triples = sample_sweep_triples(1000, seed=0)
     pairs = [
         (config, order)
         for config in configs
         for dist in enumerate_distributions(config.nodes)
         for order in enumerate_orders(dist)
     ]
-    pairs += [(config, order) for config, _, order in triples]
+    return pairs, [(config, order) for config, _, order in sample_sweep_triples(1000, seed=0)]
+
+
+def test_cached_arcs_give_the_max_flow_of_the_built_graph():
+    """`ifg_mincut` runs Dinic on the residual arcs cached with the wiring,
+    and `max_flow` builds them from the `FlowGraph`: both give the same
+    value on every pair of `_every_order_pairs`, among them the 10
+    criterion-2 triples whose max-flow falls below the part-cut.  On each
+    of them the sum of cut-table entries (`_Search.order_cut`) is the
+    part-cut, scaled."""
+    orders, triples = _every_order_pairs()
     searches = {}
-    for config, order in pairs:
+    for config, order in orders + triples:
         graph = build_ifg(config, order)
         assert ifg_mincut(config, order) == Fraction(max_flow(graph), graph.scale)
         if config not in searches:
             searches[config] = oracle._Search(config)
         search = searches[config]
         assert search.order_cut(order) == mincut(config, order).value * search.scale
-    gaps = [
-        (config, order)
-        for config, _, order in triples
-        if ifg_mincut(config, order) < mincut(config, order).value
-    ]
+    gaps = [pair for pair in triples if ifg_mincut(*pair) < mincut(*pair).value]
     assert len(gaps) == 10
     pinned = cfg(9, 8, 2, 4, 1, 5, 2, 1, 7), ClusterOrder((0, 2, 1, 2, 2, 1, 1, 1))
     assert pinned in gaps
     assert (ifg_mincut(*pinned), mincut(*pinned).value) == (40, 42)
+
+
+def _spy_on_dinic(monkeypatch):
+    """Record from here on the `bound` of each `_dinic` call, and whether
+    each level pass reaches the source."""
+    seen = {"bounds": [], "found": []}
+    dinic, levels = oracle._dinic, oracle._levels
+
+    def spy_dinic(starts, to, rev, cap, s, t, level=None, bound=None):
+        seen["bounds"].append(bound)
+        return dinic(starts, to, rev, cap, s, t, level, bound)
+
+    def spy_levels(*args):
+        level = levels(*args)
+        seen["found"].append(level is not None)
+        return level
+
+    monkeypatch.setattr(oracle, "_dinic", spy_dinic)
+    monkeypatch.setattr(oracle, "_levels", spy_levels)
+    return seen
+
+
+def test_ifg_bound_is_the_part_cut_of_its_own_graph(monkeypatch):
+    """The bound that `ifg_mincut` gives Dinic, read from the wiring's
+    helper counts, is the scaled part-cut `mincut` on every pair of
+    `_every_order_pairs`.  On the 10 criterion-2 triples whose max-flow
+    falls below it, the flow never reaches it: Dinic runs to a level
+    pass that finds no path, and the value is still the max-flow of the
+    reference graph.  On the capacity-achieving order of every tiny
+    config the flow reaches it, and no level pass comes back empty."""
+    orders, triples = _every_order_pairs()
+    seen = _spy_on_dinic(monkeypatch)
+    for config, order in orders + triples:
+        ifg_mincut(config, order)
+        part = mincut(config, order).value
+        assert seen["bounds"].pop() == part * oracle._scaled_bandwidths(config)[0]
+    gaps = [pair for pair in triples if ifg_mincut(*pair) < mincut(*pair).value]
+    assert len(gaps) == 10
+    for config, order in gaps:
+        seen["found"].clear()  # after the level pass that built the cached levels
+        flow = ifg_mincut(config, order)
+        assert seen["found"] and not seen["found"][-1]
+        reference = _reference_build_ifg(config, order)
+        assert flow == Fraction(max_flow(reference), reference.scale)
+    for config in oracle.FAMILIES["tiny"]().configs:
+        _, order = capacity_achiever(config)
+        oracle._ifg_capacities(config, order)
+        seen["found"].clear()
+        assert ifg_mincut(config, order) == system_capacity(config)
+        assert all(seen["found"]), config.describe()
 
 
 def test_rejected_order_is_rejected_on_every_call():
@@ -406,6 +548,20 @@ def test_rejected_order_is_rejected_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="cannot find 5 helpers at repair step 1"):
             oracle._ifg_wiring((1,), 1, 2, 2, 0, 1, 5)
+
+
+def test_order_cut_caches_no_rejected_order():
+    """`order_cut` reads an order's ranks from a cache keyed by its
+    labels: a bad order raises ValueError on two calls in a row and
+    leaves no entry, while a valid one is checked once."""
+    search = oracle._Search(cfg(5, 3, 2, 2, 1, 3, 2, 1, 10))
+    oracle._order_ranks.cache_clear()
+    assert search.order_cut(ClusterOrder((1, 1, 0))) == search.order_cut(ClusterOrder((1, 1, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order selects 2 separate nodes but E=1"):
+            search.order_cut(ClusterOrder((0, 0, 1)))
+    info = oracle._order_ranks.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 3)
 
 
 def test_graph_lower_bounds_formula_on_sampled_triples():
