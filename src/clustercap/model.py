@@ -169,11 +169,15 @@ class RepairParams(Record):
         object.__setattr__(self, "beta_intra", beta_intra)
         object.__setattr__(self, "d_cross", d_cross)
         object.__setattr__(self, "beta_cross", beta_cross)
-        if self.alpha < 0:
+        # compared as integer ratios: each Fraction comparison would run
+        # `numbers.Rational` isinstance checks in Python
+        if alpha.as_integer_ratio()[0] < 0:
             raise ConfigError(f"alpha={self.alpha} must be >= 0")
-        if self.beta_cross < 0:
+        cross, cross_den = beta_cross.as_integer_ratio()
+        if cross < 0:
             raise BandwidthOrder(f"beta_cross={self.beta_cross} must be >= 0")
-        if self.beta_intra < self.beta_cross:
+        intra, intra_den = beta_intra.as_integer_ratio()
+        if intra * cross_den < cross * intra_den:
             raise BandwidthOrder(
                 f"beta_intra={self.beta_intra} < beta_cross={self.beta_cross}"
             )

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import add, itemgetter, le
 
 from .capacity import (
@@ -697,13 +697,16 @@ def sweep_alpha_values(
     k: int, R: int, E: int, d_cross: int, beta_intra: Fraction, beta_cross: Fraction
 ) -> list[Fraction]:
     """Zero, every sorted-weight boundary, and the saturation point."""
-    # past the weights' cache: the default sweep_configs() grid would put
-    # 796 Fraction-keyed entries there, about 480 KB (tracemalloc), which
-    # no checker reads again, since the checkers pass integer bandwidths
-    values = weight_values.__wrapped__(k, E, R, d_cross, beta_intra, beta_cross)
-    grid = {Fraction(0), sum(values, start=Fraction(0))}
-    grid.update(values)
-    return sorted(grid)
+    # on the bandwidths cleared to integers by their common denominator,
+    # past the weights' cache, which the checkers alone fill: the default
+    # sweep_configs() grid would put 796 entries there
+    intra, intra_den = beta_intra.as_integer_ratio()
+    cross, cross_den = beta_cross.as_integer_ratio()
+    den = lcm(intra_den, cross_den)
+    values = weight_values.__wrapped__(
+        k, E, R, d_cross, intra * (den // intra_den), cross * (den // cross_den)
+    )
+    return [_fraction(x, den) for x in sorted({0, sum(values), *values})]
 
 
 def sweep_configs(
@@ -714,24 +717,25 @@ def sweep_configs(
     beta_pairs=SWEEP_BETA_PAIRS,
 ) -> list[SystemConfig]:
     """The standard verification grid: every valid d_cross for each node
-    layout, the listed bandwidth pairs, and per-config alpha boundaries."""
+    layout, the listed bandwidth pairs, and per-config alpha boundaries.
+
+    The configs of one layout share its one `NodeParams`; each is built
+    from it as `SystemConfig(nodes, RepairParams(...))`, so every record
+    check still runs.  The alpha grid is computed on integers
+    (`sweep_alpha_values`) and each alpha made a Fraction once."""
+    betas = [(Fraction(bi), Fraction(bc)) for bi, bc in beta_pairs]
     out = []
     for L in L_values:
         for R in R_values:
             for E in E_values:
                 n = L * R + E
                 for k in range(2, min(k_max, n - 1) + 1):
+                    nodes = NodeParams(n, k, L, R, E)
                     for d_cross in range(max(0, k - R + 1), n - R + 1):
-                        for bi, bc in beta_pairs:
-                            bi_f, bc_f = Fraction(bi), Fraction(bc)
-                            for alpha in sweep_alpha_values(k, R, E, d_cross, bi_f, bc_f):
+                        for bi, bc in betas:
+                            for alpha in sweep_alpha_values(k, R, E, d_cross, bi, bc):
                                 out.append(
-                                    validate_config(
-                                        n=n, k=k, L=L, R=R, E=E,
-                                        d_cross=d_cross,
-                                        beta_intra=bi_f, beta_cross=bc_f,
-                                        alpha=alpha,
-                                    )
+                                    SystemConfig(nodes, RepairParams(alpha, R - 1, bi, d_cross, bc))
                                 )
     return out
 
@@ -1059,9 +1063,7 @@ def sample_sweep_triples(count: int, seed: int = 0):
         k = rng.randint(2, min(SWEEP_K_MAX, n - 1))
         d_cross = rng.randint(max(0, k - R + 1), n - R)
         bi, bc = rng.choice(SWEEP_BETA_PAIRS)
-        alpha = rng.choice(
-            sweep_alpha_values(k, R, E, d_cross, Fraction(bi), Fraction(bc))
-        )
+        alpha = rng.choice(sweep_alpha_values(k, R, E, d_cross, bi, bc))
         cfg = validate_config(
             n=n, k=k, L=L, R=R, E=E, d_cross=d_cross,
             beta_intra=bi, beta_cross=bc, alpha=alpha,

@@ -10,7 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercap import model, oracle
-from clustercap.capacity import capacity_achiever, mincut_by_location, system_capacity
+from clustercap.capacity import (
+    capacity_achiever,
+    mincut_by_location,
+    system_capacity,
+    weight_values,
+)
 from clustercap.mincut import incoming_coefficients, mincut, part_incoming_weights
 from clustercap.model import (
     ClusterOrder,
@@ -1064,6 +1069,92 @@ def test_criterion_2_triples_are_pinned():
     assert hashlib.sha256(triples).hexdigest() == (
         "1936d3357570ddfe1483bfb956e978ebbdbea7030c1df4169dd9a6318c16c20f"
     )
+
+
+def _reference_alpha_values(k, R, E, d_cross, beta_intra, beta_cross):
+    """The alpha grid on Fraction weights, as the sweep built it before
+    its grid moved to integers."""
+    values = weight_values.__wrapped__(k, E, R, d_cross, beta_intra, beta_cross)
+    grid = {Fraction(0), sum(values, start=Fraction(0))}
+    grid.update(values)
+    return sorted(grid)
+
+
+def _reference_sweep(L_values, R_values, E_values, k_max, beta_pairs):
+    """(key, configs) per grid key, each config built by `validate_config`
+    at Fraction bandwidths over `_reference_alpha_values`."""
+    for L in L_values:
+        for R in R_values:
+            for E in E_values:
+                n = L * R + E
+                for k in range(2, min(k_max, n - 1) + 1):
+                    for d_cross in range(max(0, k - R + 1), n - R + 1):
+                        for bi, bc in beta_pairs:
+                            key = (k, R, E, d_cross, Fraction(bi), Fraction(bc))
+                            yield key, [
+                                validate_config(n=n, k=k, L=L, R=R, E=E, d_cross=d_cross,
+                                                beta_intra=key[4], beta_cross=key[5], alpha=alpha)
+                                for alpha in _reference_alpha_values(*key)
+                            ]
+
+
+SWEEP_GRIDS = {
+    "default": {},
+    "tiny": dict(L_values=(2,), R_values=(2, 3), k_max=4, beta_pairs=((1, 1), (2, 1))),
+    "E0-3-fractional": dict(
+        L_values=(2,), R_values=(2, 3), E_values=(0, 1, 2, 3), k_max=6,
+        beta_pairs=((Fraction(3, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(5, 2)),
+                    (Fraction(4, 3), Fraction(1, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS)
+def test_sweep_family_equals_the_fraction_reference(grid):
+    """Config by config, the integer-built family equals the one built
+    through `validate_config` on Fraction weights, field types included
+    (the reprs), and describes itself the same; `sweep_alpha_values`
+    returns the reference list on every key, at Fraction bandwidths and
+    at the grid's own ones."""
+    kwargs = {"L_values": oracle.SWEEP_L_VALUES, "R_values": oracle.SWEEP_R_VALUES,
+              "E_values": oracle.SWEEP_E_VALUES, "k_max": oracle.SWEEP_K_MAX,
+              "beta_pairs": oracle.SWEEP_BETA_PAIRS, **SWEEP_GRIDS[grid]}
+    built = oracle.FAMILIES["tiny"]().configs if grid == "tiny" else sweep_configs(**kwargs)
+    keys = list(_reference_sweep(**kwargs))
+    reference = [config for _, configs in keys for config in configs]
+    assert len(built) == len(reference)
+    for got, want in zip(built, reference):
+        assert repr(got) == repr(want) and got.describe() == want.describe()
+    for (k, R, E, d_cross, bi, bc), _ in keys:
+        want = [(type(a), a) for a in _reference_alpha_values(k, R, E, d_cross, bi, bc)]
+        pairs = [(bi, bc)]
+        if bi.denominator == bc.denominator == 1:
+            pairs.append((int(bi), int(bc)))
+        for pair in pairs:
+            got = oracle.sweep_alpha_values(k, R, E, d_cross, *pair)
+            assert [(type(a), a) for a in got] == want, (k, R, E, d_cross, pair)
+
+
+def test_sweep_family_is_built_on_integers(monkeypatch):
+    """Building the default family makes no Fraction comparison, addition
+    or multiplication, and its 6,896 configs share one `NodeParams` per
+    layout, 67 in all."""
+    counts = {}
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                 "__add__", "__radd__", "__mul__", "__rmul__"):
+
+        def counted(a, b, real=getattr(Fraction, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    _reference_alpha_values(4, 2, 1, 3, Fraction(3), Fraction(2))
+    assert counts, "the counters see the Fraction reference's operators"
+    counts.clear()
+    configs = sweep_configs()
+    assert counts == {}
+    assert len(configs) == 6896
+    assert len({id(config.nodes) for config in configs}) == len({c.nodes for c in configs}) == 67
 
 
 def _count_passes(monkeypatch):

@@ -3,6 +3,7 @@ package, so a name that `perfbench/ops.py` imports and the package moves or
 renames, or a checker change that fails the sweep op, fails here, not only
 when the benchmark runs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,17 @@ def test_benchmark_inputs_build(workload, tmp_path):
     _ops("inputs", workload, 1, out)
     inputs = json.loads(out.read_text())
     assert isinstance(inputs, dict) and inputs["ops"]
+
+
+def test_oracle_sweep_sample_is_pinned(tmp_path):
+    """The oracle-sweep sample at seed 41: indices into `sweep_configs()`
+    drawn by order count, so the digest moves if the family's configs,
+    their order or their layouts' order totals do."""
+    out = tmp_path / "inputs.json"
+    _ops("inputs", "oracle-sweep", 41, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "29332a83ff28bddd8de647cd0d878b09983667da3186bc6a0a7d1bbef9652577"
+    )
 
 
 @pytest.mark.parametrize("plant, failures", [(0, 0), (1, 1)])

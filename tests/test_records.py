@@ -30,6 +30,7 @@ from clustercap.model import (
     RepairParams,
     SelectedNodeDistribution,
     SystemConfig,
+    parse_rational,
 )
 from clustercap.oracle import (
     BruteForceResult,
@@ -191,3 +192,53 @@ def test_validation_raises_named_error(build, error):
     with pytest.raises(ConfigError) as raised:
         build()
     assert type(raised.value) is error
+
+
+# (alpha, beta_intra, beta_cross) given as 'p/q' text, turned into
+# Fraction(p, q), int(p) or parse_rational('p/q')
+REPAIR_INPUTS = {
+    "fraction": lambda text: F(*map(int, text.split("/"))),
+    "int": int,
+    "parsed": parse_rational,
+}
+
+
+def _under_every_input(cases):
+    """Each case once per input kind; ints take the integral cases only."""
+    return [
+        (kind, *case)
+        for kind in REPAIR_INPUTS
+        for case in cases
+        if kind != "int" or "/" not in "".join(case[0])
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, values, error, message",
+    _under_every_input([
+        (("-1", "2", "1"), ConfigError, "alpha=-1 must be >= 0"),
+        (("-3/2", "2", "1"), ConfigError, "alpha=-3/2 must be >= 0"),
+        (("2", "2", "-1"), BandwidthOrder, "beta_cross=-1 must be >= 0"),
+        (("2", "2", "-1/3"), BandwidthOrder, "beta_cross=-1/3 must be >= 0"),
+        (("2", "1", "2"), BandwidthOrder, "beta_intra=1 < beta_cross=2"),
+        (("2", "5/4", "4/3"), BandwidthOrder, "beta_intra=5/4 < beta_cross=4/3"),
+    ]),
+)
+def test_repair_params_reject_with_the_same_message(kind, values, error, message):
+    """Each check of `RepairParams` raises its exception type and message
+    whatever the input type."""
+    alpha, beta_intra, beta_cross = map(REPAIR_INPUTS[kind], values)
+    with pytest.raises(ConfigError) as raised:
+        RepairParams(alpha, 1, beta_intra, 3, beta_cross)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    _under_every_input([(("0", "2", "1"),), (("0", "3", "3"),), (("1/2", "7/4", "7/4"),)]),
+)
+def test_repair_params_accept_zero_alpha_and_equal_bandwidths(kind, values):
+    alpha, beta_intra, beta_cross = map(REPAIR_INPUTS[kind], values)
+    repair = RepairParams(alpha, 1, beta_intra, 3, beta_cross)
+    assert (repair.alpha, repair.beta_intra, repair.beta_cross) == tuple(map(F, values))
